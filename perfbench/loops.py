@@ -94,7 +94,57 @@ class TripCycle:
         return int(self._queue.pop())
 
 
-class TripLoop:
+class CloseOrder:
+    """Per model version and shard, the trips opened and closed under that
+    version, each once, in the order of its first close (each shard
+    finalizes FIFO).
+
+    A repeat adds nothing, so memory is bounded by the versions and the
+    pool rather than by throughput.
+    """
+
+    def __init__(self):
+        self._orders: Dict[int, Dict[int, Dict[int, None]]] = {}
+
+    def add(self, shard: int, index: int, opened: int, closed: int) -> None:
+        if opened == closed:
+            self._orders.setdefault(opened, {}).setdefault(
+                shard, {}).setdefault(index, None)
+
+    def first(self, version: int) -> Dict[int, List[int]]:
+        return {shard: list(order) for shard, order
+                in self._orders.get(version, {}).items()}
+
+
+class FleetLoop:
+    """What both drivers keep: delivered results, the close order, and
+    delivery problems, for the workload to take and judge."""
+
+    def __init__(self, recorder: SpanRecorder, pool: Sequence):
+        self.recorder = recorder
+        self.pool = pool
+        #: The service's model version new trips open (and close) under.
+        self.version = 0
+        #: Results delivered since the last :meth:`take`.
+        self.done: List[Done] = []
+        self.results = Results()
+        self.unexpected: List[str] = []
+        self.closes = CloseOrder()
+        self._active: Dict[int, list] = {}
+        self._waiting: Dict[int, tuple] = {}
+        self._next_vehicle = 0
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._active) + len(self._waiting)
+
+    def take(self) -> List[Done]:
+        """The results delivered since the last call."""
+        done, self.done = self.done, []
+        return done
+
+
+class TripLoop(FleetLoop):
     """Closed loop of map-matched trips through a ``DetectionService``.
 
     ``clients`` trips are in flight at once. Each round sends the next
@@ -106,24 +156,9 @@ class TripLoop:
 
     def __init__(self, service, recorder: SpanRecorder, pool:
                  Sequence[MatchedTrajectory], clients: int):
+        super().__init__(recorder, pool)
         self.service = service
-        self.recorder = recorder
-        self.pool = pool
         self.clients = clients
-        self.version = 0
-        self.done: List[Done] = []
-        self.results = Results()
-        self.unexpected: List[str] = []
-        #: ``(shard, index, open_version, close_version)`` per close, in
-        #: the order the closes were sent (each shard finalizes FIFO).
-        self.closes: List[Tuple[int, int, int, int]] = []
-        self._active: Dict[int, list] = {}
-        self._waiting: Dict[int, Tuple[int, float, int, int, int]] = {}
-        self._next_vehicle = 0
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._active) + len(self._waiting)
 
     def round(self, next_trip: Optional[Callable[[], Optional[int]]]) -> None:
         span = self.recorder.span
@@ -161,7 +196,7 @@ class TripLoop:
                 shard = service.shard_for(vehicle)
                 self._waiting[vehicle] = (index, sent, shard, opened,
                                           self.version)
-                self.closes.append((shard, index, opened, self.version))
+                self.closes.add(shard, index, opened, self.version)
         with span("serve.pump"):
             service.pump()
         with span("serve.poll_results"):
@@ -219,7 +254,7 @@ def shuffled_fixes(raw: RawTrajectory, rng: np.random.Generator,
     return points, swapped
 
 
-class RawLoop:
+class RawLoop(FleetLoop):
     """Raw GPS fixes through a ``GpsGateway`` with bus-delivered sessions.
 
     :meth:`closed_round` is the closed loop: ``clients`` vehicles, one fix
@@ -232,30 +267,15 @@ class RawLoop:
     def __init__(self, gateway, recorder: SpanRecorder,
                  pool: Sequence[RawTrajectory], rng: np.random.Generator,
                  swap_share: float):
+        # The gateway runs only quiesced refreshes, so every session opens
+        # and closes under one model version.
+        super().__init__(recorder, pool)
         self.gateway = gateway
-        self.recorder = recorder
-        self.pool = pool
         self.rng = rng
         self.swap_share = swap_share
-        self.done: List[Done] = []
-        self.results = Results()
-        self.unexpected: List[str] = []
         self.fixes_sent = 0
         self.fixes_swapped = 0
         self.late_s: List[float] = []
-        #: The service's model version; the gateway runs only quiesced
-        #: refreshes, so every session opens and closes under one version.
-        self.version = 0
-        #: ``(shard, index, version, version)`` per session close, in the
-        #: order sent — the shape of :attr:`TripLoop.closes`.
-        self.closes: List[Tuple[int, int, int, int]] = []
-        self._active: Dict[int, list] = {}
-        self._waiting: Dict[int, Tuple[int, float, int]] = {}
-        self._next_vehicle = 0
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._active) + len(self._waiting)
 
     def _start(self, index: int) -> Tuple[int, List[GPSPoint]]:
         vehicle = self._next_vehicle
@@ -282,7 +302,7 @@ class RawLoop:
                 f"vehicle {vehicle} returned sessions synchronously")
         shard = self.gateway.service.shard_for((vehicle, 0))
         self._waiting[vehicle] = (index, last_due, shard)
-        self.closes.append((shard, index, self.version, self.version))
+        self.closes.add(shard, index, self.version, self.version)
 
     def _collect(self) -> int:
         span = self.recorder.span
@@ -453,19 +473,6 @@ def replay_in_order(model, sequences: Dict[int, Sequence[int]],
         for index, result in zip(indices, engine.finalize_many(indices)):
             labels[(shard, index)] = list(result.labels)
     return labels
-
-
-def first_closes(closes: Sequence[Tuple[int, int, int, int]], version: int
-                 ) -> Dict[int, List[int]]:
-    """Per shard, the trips opened and closed under ``version``, each
-    once, in the order of its first close."""
-    sequences: Dict[int, List[int]] = {}
-    seen = set()
-    for shard, index, opened, closed in closes:
-        if opened == closed == version and (shard, index) not in seen:
-            seen.add((shard, index))
-            sequences.setdefault(shard, []).append(index)
-    return sequences
 
 
 # ------------------------------------------------------ standalone replays

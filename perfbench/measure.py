@@ -16,10 +16,14 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 #: Samples that must lie beyond a percentile before it may be reported.
 MIN_BEYOND = 10
+#: The tail every timing names.
+TAIL_Q = 0.9
 #: Percentiles the summaries choose their "highest supported" tail from.
-TAIL_CANDIDATES = (0.9, 0.95, 0.99, 0.999)
+TAIL_CANDIDATES = (TAIL_Q, 0.95, 0.99, 0.999)
 
 
 class TooFewSamples(RuntimeError):
@@ -31,17 +35,6 @@ def samples_beyond(count: int, q: float) -> int:
     return math.floor(count * (1.0 - q) + 1e-9)
 
 
-def quantile(samples: Sequence[float], q: float) -> float:
-    """Linear-interpolation quantile (NumPy's default rule)."""
-    if not samples:
-        raise TooFewSamples("quantile of an empty sample")
-    ordered = sorted(samples)
-    position = q * (len(ordered) - 1)
-    low = math.floor(position)
-    high = min(low + 1, len(ordered) - 1)
-    return ordered[low] + (ordered[high] - ordered[low]) * (position - low)
-
-
 @dataclass
 class Summary:
     """A timing distribution reduced by the percentile rule."""
@@ -50,14 +43,13 @@ class Summary:
     unit: str
     count: int
     median: float
-    tail_q: float
     tail: float
     highest_q: float
     highest: float
 
     def format(self) -> str:
         return (f"{self.name}: p50 {self.median:.4g} {self.unit}, "
-                f"p{_pct(self.tail_q)} {self.tail:.4g} {self.unit}, "
+                f"p{_pct(TAIL_Q)} {self.tail:.4g} {self.unit}, "
                 f"highest supported p{_pct(self.highest_q)} "
                 f"{self.highest:.4g} {self.unit} (n={self.count})")
 
@@ -66,27 +58,24 @@ def _pct(q: float) -> str:
     return f"{q * 100:g}"
 
 
-def summarize(name: str, samples: Sequence[float], unit: str,
-              tail_q: float = 0.9, min_count: int = 0) -> Summary:
-    """Median, the named tail and the highest supported percentile.
+def summarize(name: str, samples: Sequence[float], unit: str) -> Summary:
+    """Median, the p90 tail and the highest supported percentile.
 
     Raises :class:`TooFewSamples` when fewer than :data:`MIN_BEYOND`
-    samples lie beyond ``tail_q`` or fewer than ``min_count`` samples were
-    collected — the tail would otherwise be a single sample's value.
+    samples lie beyond the p90 — the tail would otherwise be a single
+    sample's value.
     """
     count = len(samples)
-    if count < min_count or samples_beyond(count, tail_q) < MIN_BEYOND:
+    if samples_beyond(count, TAIL_Q) < MIN_BEYOND:
         raise TooFewSamples(
-            f"{name}: {count} samples cannot support p{_pct(tail_q)} "
-            f"(needs {MIN_BEYOND} beyond it"
-            + (f" and at least {min_count} in all" if min_count else "")
-            + ")")
-    highest_q = max(q for q in TAIL_CANDIDATES + (tail_q,)
+            f"{name}: {count} samples cannot support p{_pct(TAIL_Q)} "
+            f"(needs {MIN_BEYOND} beyond it)")
+    highest_q = max(q for q in TAIL_CANDIDATES
                     if samples_beyond(count, q) >= MIN_BEYOND)
-    return Summary(name=name, unit=unit, count=count,
-                   median=statistics.median(samples),
-                   tail_q=tail_q, tail=quantile(samples, tail_q),
-                   highest_q=highest_q, highest=quantile(samples, highest_q))
+    median, tail, highest = np.quantile(samples, [0.5, TAIL_Q, highest_q])
+    return Summary(name=name, unit=unit, count=count, median=float(median),
+                   tail=float(tail), highest_q=highest_q,
+                   highest=float(highest))
 
 
 def median_of(name: str, samples: Sequence[float], min_count: int) -> float:
@@ -106,21 +95,13 @@ def completion_rate(completions: Sequence[Tuple[float, int]], start: float,
     waves, and a slope over the whole interval is steadier than counting
     what happened to land inside it.
     """
-    times: List[float] = []
-    totals: List[float] = []
-    total = 0
-    for when, items in completions:
-        if start <= when < end:
-            total += items
-            times.append(when)
-            totals.append(total)
-    if len(times) < 3:
-        raise TooFewSamples(f"{len(times)} completions cannot give a rate")
-    mean_t = statistics.fmean(times)
-    mean_c = statistics.fmean(totals)
-    spread = sum((t - mean_t) ** 2 for t in times)
-    return sum((t - mean_t) * (c - mean_c)
-               for t, c in zip(times, totals)) / spread
+    window = [(when, items) for when, items in completions
+              if start <= when < end]
+    if len(window) < 3:
+        raise TooFewSamples(f"{len(window)} completions cannot give a rate")
+    times = [when for when, _ in window]
+    totals = np.cumsum([items for _, items in window])
+    return float(np.polyfit(times, totals, 1)[0])
 
 
 @dataclass

@@ -10,7 +10,8 @@ and writes the spans to ``.perfbench_out/``. The last line of standard
 output is one JSON object: ``correct``, ``attempted``, ``failed``,
 ``metrics``. Any wrong label, undelivered result or bus gap makes
 ``correct`` false and the exit code 1. ``--smoke`` runs every workload
-briefly with one set-up, traced (a traced run serves every other segment
+briefly with one set-up (and raw_fleet's open loop sized for the
+percentile rule alone), traced (a traced run serves every other segment
 untraced, so both paths run), and exits non-zero on any failure.
 """
 
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
     import_s = time.perf_counter() - IMPORT_STARTED
     if args.smoke:
         results = [run_one(WORKLOADS[name](args.seed, SMOKE_SECONDS, True,
-                                           import_s, setups=1), spec)
+                                           import_s, smoke=True), spec)
                    for name in WORKLOADS]
         return 0 if all(results) else 1
     if args.workload not in WORKLOADS:

@@ -14,12 +14,13 @@
 
 The host's speed swings by tens of percent over seconds, so no metric
 comes from one stretch of the run: the first two workloads serve in
-``SEGMENTS`` segments (raw_fleet: a closed and an open segment each),
-each followed by quiesced refreshes (so ``refresh_s`` is measured on
-every transport), and ``drift_refresh`` refreshes at every one of its
-many phase boundaries. Rates and latency percentiles are medians over
-segments or phases. In a traced run every other segment (or phase) is
-traced, and the untraced/traced rate ratio is the tracing overhead.
+``SEGMENTS`` closed-loop segments (raw_fleet adds an open-loop segment
+after every other one), each followed by quiesced refreshes (so
+``refresh_s`` is measured on every transport), and ``drift_refresh``
+refreshes at every one of its many phase boundaries. Rates and latency
+percentiles are medians over segments or phases. In a traced run every
+other segment (or phase) is traced, and the untraced/traced rate ratio is
+the tracing overhead.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from repro.mapmatching import HMMMapMatcher
 from repro.serve.checkpoint import weights_snapshot
 from repro.trajectory.models import MatchedTrajectory
 
-from .loops import (Done, RawLoop, Refresh, Results, Route, TripCycle,
-                    TripLoop, first_closes, refresh, replay_engine,
+from .loops import (CloseOrder, FleetLoop, RawLoop, Refresh, Results, Route,
+                    TripCycle, TripLoop, refresh, replay_engine,
                     replay_in_order, replay_matcher)
 from .measure import (Ledger, completion_rate, median_of, peak_rss_mb,
                       summarize)
@@ -77,10 +78,16 @@ DRIFT_F1_VERSIONS = 2
 #: Share of a closed-loop segment treated as warm-up: completions before
 #: it are left out of the rate and the latencies.
 WARMUP = 0.1
-#: Sessions each raw open-loop segment is sized for (with a 1.2 margin):
-#: its own p90 needs ten samples beyond it.
-MIN_SEGMENT_SESSIONS = 100
+#: Open-loop segments of raw_fleet, and the sessions each is sized to
+#: start (with a 1.2 margin): enough for its p90 to rest on 25 samples
+#: beyond it; a smoke run starts only the 100 the percentile rule needs.
+OPEN_SEGMENTS = 2
+MIN_OPEN_SESSIONS = 250
+SMOKE_OPEN_SESSIONS = 100
 DRAIN_TIMEOUT_S = 60.0
+#: ``ShardStats`` counters summed over the serving windows.
+SHARD_COUNTERS = ("points_processed", "ticks", "cache_hits", "cache_misses",
+                  "busy_seconds")
 
 #: Root spans of the served path; ``driver.replay*`` roots are the
 #: standalone replays of the traced run.
@@ -117,22 +124,30 @@ class Workload:
     raw = False
 
     def __init__(self, seed: int, seconds: float, trace: bool,
-                 import_s: float, setups: int = SETUPS):
+                 import_s: float, smoke: bool = False):
         self.seed = seed
         self.seconds = seconds
         self.trace = trace
         self.import_s = import_s
-        self.setups = setups
+        #: A smoke run sets up once and sizes raw_fleet's open loop for
+        #: the percentile rule alone.
+        self.setups = 1 if smoke else SETUPS
+        self.open_sessions = (SMOKE_OPEN_SESSIONS if smoke
+                              else MIN_OPEN_SESSIONS)
         self.rng = np.random.default_rng(seed)
         self.recorder = SpanRecorder(enabled=False)
         self.out = Outcome()
         self.refreshes: List[Refresh] = []
         self.serve_walls: List[Tuple[float, float]] = []
+        #: Per shard, the ``SHARD_COUNTERS`` deltas over ``serve_walls``.
+        self.shard_work = np.zeros((self.shards, len(SHARD_COUNTERS)))
         #: Rates of untraced and traced segments (or phases).
         self.rates: Dict[bool, List[float]] = {False: [], True: []}
         #: Weights and history of every model version that served.
         self.versions: Dict[int, tuple] = {}
-        #: Closed-loop wall after warm-up (see :meth:`_closed_segments`).
+        #: Items completed in the measured windows, and their wall (see
+        #: :meth:`_closed_segments`).
+        self.served_items = 0
         self.warm_wall = 0.0
 
     # ----------------------------------------------------------- lifecycle
@@ -140,7 +155,6 @@ class Workload:
         stack = self._set_up()
         try:
             stack.learner.attach_service(stack.service)
-            self._before = stack.service.metrics()
             self.serve(stack)
             self.recorder.enabled = self.trace
             self._after = stack.service.metrics()
@@ -200,6 +214,20 @@ class Workload:
                 metrics["points_per_s"]
                 / median_of("traced segment rates", traced, 1))
 
+    def _shard_stats(self, stack: Stack) -> list:
+        with self.recorder.span("serve.metrics"):
+            return stack.service.metrics().shards
+
+    def _served_window(self, stack: Stack, before: list, start: float,
+                       end: float) -> None:
+        """Record one serving window: its wall, and the shard work done in
+        it (``before`` is :meth:`_shard_stats` taken at ``start``)."""
+        after = self._shard_stats(stack)
+        self.serve_walls.append((start, end))
+        self.shard_work += [[getattr(a, name) - getattr(b, name)
+                             for name in SHARD_COUNTERS]
+                            for b, a in zip(before, after)]
+
     # ----------------------------------------------------------- refreshes
     def _remember(self, stack: Stack, version: int) -> None:
         """Keep the serving version's weights and history for the check.
@@ -219,43 +247,48 @@ class Workload:
             stack.train_parts[part][:FINE_TUNE_TRIPS]))
         self.out.ledger.attempt("refresh")
 
-    def _closed_segments(self, stack: Stack, loop, step: Callable[[], None],
-                         segment_s: float, root: str,
-                         after: Callable[[], None] = lambda: None
-                         ) -> List[List[Done]]:
+    def _closed_segments(self, stack: Stack, loop: FleetLoop,
+                         step: Callable[[], None], segment_s: float,
+                         root: str, phase: str,
+                         after: Callable[[int], None] = lambda segment: None
+                         ) -> List[List[float]]:
         """``SEGMENTS`` closed-loop segments, each drained, then ``after``
-        and ``REFRESHES_PER_SEGMENT`` quiesced refreshes.
+        (given the segment's index) and ``REFRESHES_PER_SEGMENT`` quiesced
+        refreshes.
 
         ``step`` runs one round of ``loop``. Records each segment's wall
-        and rate; returns, per segment, the results that arrived after its
-        warm-up and before its admission ended, with their total wall in
-        :attr:`warm_wall`.
+        and rate, and counts its deliveries under ``phase``; returns, per
+        segment, the latencies of the results that arrived after its
+        warm-up and before its admission ended, with their items in
+        :attr:`served_items` and their wall in :attr:`warm_wall`.
         """
-        warm: List[List[Done]] = []
+        latencies: List[List[float]] = []
         for segment in range(SEGMENTS):
             traced = self._traced(segment)
             self._remember(stack, loop.version)
-            first = len(loop.done)
             with self.recorder.span(root):
+                before = self._shard_stats(stack)
                 start = time.perf_counter()
                 while time.perf_counter() < start + segment_s:
                     step()
                 end = time.perf_counter()
+                self._served_window(stack, before, start, end)
                 loop.drain(DRAIN_TIMEOUT_S)
-            self.serve_walls.append((start, end))
+            done = loop.take()
+            self._delivered(phase, loop, len(done))
             settled = start + WARMUP * (end - start)
-            window = [d for d in loop.done[first:]
-                      if settled <= d.arrived < end]
+            window = [d for d in done if settled <= d.arrived < end]
             self.rates[traced].append(completion_rate(
                 [(d.arrived, d.items) for d in window], settled, end))
-            warm.append(window)
+            latencies.append([d.latency_s for d in window])
+            self.served_items += sum(d.items for d in window)
             self.warm_wall += end - settled
-            after()
+            after(segment)
             with self.recorder.span("driver.refresh"):
                 for _ in range(REFRESHES_PER_SEGMENT):
                     self._refresh(stack)
                     loop.version += 1
-        return warm
+        return latencies
 
     def _refresh_metrics(self) -> None:
         metrics = self.out.metrics
@@ -272,7 +305,7 @@ class Workload:
             f"{metrics['history.swap_ms']:.4g} ms)")
 
     # ------------------------------------------------------------- checks
-    def _references(self, stack: Stack, closes,
+    def _references(self, stack: Stack, closes: CloseOrder,
                     route_of: Callable[[int], Route]) -> References:
         """``{(version, shard, index): labels}`` of fresh engines of each
         served version, fed in each shard's close order the trips opened
@@ -280,20 +313,21 @@ class Workload:
         references: References = {}
         for version, (weights, history) in self.versions.items():
             expected = replay_in_order(
-                stack.learner.model, first_closes(closes, version),
+                stack.learner.model, closes.first(version),
                 route_of, weights=weights, history=history)
             for (shard, index), labels in expected.items():
                 references[(version, shard, index)] = labels
         return references
 
-    def _delivered(self, phase: str, done: Sequence[Done],
-                   problems: Sequence[str]) -> None:
-        """Count a phase's delivered results and its delivery failures
-        (results lost, unexpected or late past the drain timeout)."""
+    def _delivered(self, phase: str, loop: FleetLoop, count: int) -> None:
+        """Count ``count`` results delivered in a phase, and the delivery
+        failures ``loop`` noted since the last count (results lost,
+        unexpected or late past the drain timeout)."""
         ledger = self.out.ledger
-        ledger.attempt(phase, len(done) + len(problems))
-        for problem in problems:
+        ledger.attempt(phase, count + len(loop.unexpected))
+        for problem in loop.unexpected:
             ledger.fail(phase, problem)
+        loop.unexpected.clear()
 
     def _check(self, results: Results, references: References,
                route_of: Callable[[int], Route]) -> None:
@@ -391,26 +425,23 @@ class Workload:
         self.out.lines.append(
             f"{what}: p50 {metrics['latency_ms.p50']:.4g} ms, p90 "
             f"{metrics['latency_ms.p90']:.4g} ms (medians over "
-            f"{len(summaries)} {parts} of n="
+            f"{len(summaries)} {parts}: p50 "
+            + "/".join(f"{s.median:.3g}" for s in summaries) + ", p90 "
+            + "/".join(f"{s.tail:.3g}" for s in summaries) + ", n="
             + "/".join(str(s.count) for s in summaries) + ")")
         self.out.lines.append("  pooled " + pooled.format())
 
     def _service_metrics(self, stack: Stack) -> None:
-        before, after = self._before, self._after
+        """Shard shares over the serving windows; whole-run counters."""
+        after = self._after
         metrics = self.out.metrics
-        points = sum(s.points_processed for s in after.shards) - sum(
-            s.points_processed for s in before.shards)
-        ticks = sum(s.ticks for s in after.shards) - sum(
-            s.ticks for s in before.shards)
-        hits = sum(s.cache_hits for s in after.shards)
-        misses = sum(s.cache_misses for s in after.shards)
-        busy = [a.busy_seconds - b.busy_seconds
-                for a, b in zip(after.shards, before.shards)]
+        points, ticks, hits, misses, _ = self.shard_work.sum(axis=0)
+        busy = self.shard_work[:, SHARD_COUNTERS.index("busy_seconds")]
         wall = sum(end - start for start, end in self.serve_walls)
         metrics["core.points_per_tick"] = points / ticks if ticks else 0.0
         metrics["core.feature_cache_hit_rate"] = (
             hits / (hits + misses) if hits + misses else 0.0)
-        metrics["serve.shard_busy_share"] = sum(busy) / len(busy) / wall
+        metrics["serve.shard_busy_share"] = float(busy.mean()) / wall
         attempted = after.accepted_ingests + after.rejected_ingests
         metrics["serve.rejected_ingest_share"] = (
             after.rejected_ingests / attempted if attempted else 0.0)
@@ -431,7 +462,7 @@ class Workload:
                 f"shard queue wait: p50 {waits.p50 * 1e3:.4g} ms, p99 "
                 f"{waits.p99 * 1e3:.4g} ms (n={waits.count})")
         self.out.lines.append(
-            f"shards: {points} points in {ticks} ticks, busy "
+            f"shards: {points:.0f} points in {ticks:.0f} ticks, busy "
             + ", ".join(f"{b:.2f}s" for b in busy)
             + f" of {wall:.2f}s serving")
         self._refresh_metrics()
@@ -513,16 +544,13 @@ class MatchedFleet(Workload):
         pool = stack.test_parts[0]
         loop = TripLoop(stack.service, self.recorder, pool, MATCHED_CLIENTS)
         cycle = TripCycle(len(pool), self.rng)
-        warm = self._closed_segments(
+        latencies = self._closed_segments(
             stack, loop, lambda: loop.round(cycle),
-            0.85 * self.seconds / SEGMENTS, "driver.serve")
-        self._served_points = sum(d.items for group in warm for d in group)
+            0.85 * self.seconds / SEGMENTS, "driver.serve", "serve")
         self._report_rate()
-        self._latency([[d.latency_s for d in group] for group in warm],
-                      "trip latency")
+        self._latency(latencies, "trip latency")
         route_of = lambda index: trip_route(pool[index])  # noqa: E731
         references = self._references(stack, loop.closes, route_of)
-        self._delivered("serve", loop.done, loop.unexpected)
         self._check(loop.results, references, route_of)
         indices = range(len(pool))
         self._quality(f"{len(pool)} test trips",
@@ -535,7 +563,7 @@ class MatchedFleet(Workload):
         self._engine_replay(
             stack.learner.model,
             [trip_route(trip) for trip in stack.test_parts[0]],
-            self._served_points, self.warm_wall, MATCHED_CLIENTS)
+            self.served_items, self.warm_wall, MATCHED_CLIENTS)
 
 
 # ---------------------------------------------------------------------- raw
@@ -580,42 +608,34 @@ class RawFleet(Workload):
         loop = self._raw_loop = self._recording(stack)
         traces = loop.pool
         cycle = TripCycle(len(traces), self.rng)
-        # Each open-loop segment admits for long enough to start the
-        # sessions its own p90 needs, with a margin.
+        # Each open-loop segment admits for long enough to start
+        # ``open_sessions`` sessions, with a margin.
         mean_fixes = sum(len(t.points) for t in traces) / len(traces)
-        open_s = max(0.5 * self.seconds / SEGMENTS,
-                     1.2 * MIN_SEGMENT_SESSIONS * mean_fixes / OPEN_LOOP_RATE)
-        delivered = {"closed loop": [], "open loop": []}
-        problems = {"closed loop": [], "open loop": []}
+        open_s = max(0.5 * self.seconds / OPEN_SEGMENTS,
+                     1.2 * self.open_sessions * mean_fixes / OPEN_LOOP_RATE)
         opened: List[List[float]] = []
 
-        def file_under(phase: str) -> None:
-            """File what arrived since the last call under ``phase``."""
-            first = sum(len(done) for done in delivered.values())
-            delivered[phase].extend(loop.done[first:])
-            problems[phase].extend(loop.unexpected)
-            loop.unexpected.clear()
-
-        def open_segment() -> None:
-            file_under("closed loop")
-            first = len(loop.done)
-            start = time.perf_counter()
+        def open_segment(segment: int) -> None:
+            """An open-loop segment after every other closed one."""
+            if (segment + 1) % (SEGMENTS // OPEN_SEGMENTS):
+                return
             with self.recorder.span("driver.serve_open"):
+                before = self._shard_stats(stack)
+                start = time.perf_counter()
                 loop.open_loop(cycle, OPEN_LOOP_RATE, OPEN_LOOP_LANES,
                                open_s, DRAIN_TIMEOUT_S)
-            self.serve_walls.append((start, time.perf_counter()))
-            opened.append([d.latency_s for d in loop.done[first:]])
-            file_under("open loop")
+                self._served_window(stack, before, start,
+                                    time.perf_counter())
+            done = loop.take()
+            self._delivered("open loop", loop, len(done))
+            opened.append([d.latency_s for d in done])
 
         # Raw sessions are ~85 fixes long: a closed segment shorter than a
         # few session lengths would measure its own ramp.
-        warm = self._closed_segments(
+        self._closed_segments(
             stack, loop, lambda: loop.closed_round(cycle, RAW_CLIENTS),
-            max(0.25 * self.seconds / SEGMENTS, 2.0), "driver.serve_closed",
-            after=open_segment)
-        self._served_fixes = sum(d.items for group in warm for d in group)
-        for phase in delivered:
-            self._delivered(phase, delivered[phase], problems[phase])
+            max(0.4 * self.seconds / SEGMENTS, 2.0), "driver.serve_closed",
+            "closed loop", after=open_segment)
         self._report_rate()
         self._latency(opened,
                       f"session latency at {OPEN_LOOP_RATE:.0f} fixes/s")
@@ -623,7 +643,7 @@ class RawFleet(Workload):
                          "ms")
         self.out.lines.append(late.format())
         self.out.lines.append(
-            f"open loop: {len(delivered['open loop'])} sessions delivered; "
+            f"open loop: {sum(map(len, opened))} sessions delivered; "
             f"{loop.fixes_swapped} of {loop.fixes_sent} fixes sent swapped")
         route_of = self._routes.__getitem__
         references = self._references(stack, loop.closes, route_of)
@@ -677,7 +697,7 @@ class RawFleet(Workload):
             roots=("driver.replay_matcher",)).get("mapmatching", (0.0, 0))[0]
         metrics = self.out.metrics
         metrics["mapmatching.standalone_share"] = (
-            matcher_s / replay.fixes * self._served_fixes / self.warm_wall)
+            matcher_s / replay.fixes * self.served_items / self.warm_wall)
         metrics["mapmatching.distance_cache_hit_rate"] = (
             replay.distance_cache_hit_rate)
         self.out.lines.append(
@@ -685,7 +705,7 @@ class RawFleet(Workload):
             f"{1e6 * matcher_s / replay.fixes:.1f} us/fix, distance cache "
             f"hit rate {replay.distance_cache_hit_rate:.3f}")
         self._engine_replay(stack.learner.model, self._routes,
-                            self._served_fixes, self.warm_wall, RAW_CLIENTS)
+                            self.served_items, self.warm_wall, RAW_CLIENTS)
 
 
 # -------------------------------------------------------------------- drift
@@ -710,6 +730,7 @@ class DriftRefresh(Workload):
         loop = TripLoop(stack.service, self.recorder, pool, MATCHED_CLIENTS)
         deadline = time.perf_counter() + 0.9 * self.seconds
         latencies: List[List[float]] = []
+        trips = 0
         phase = 0
         while True:
             traced = self._traced(phase)
@@ -721,21 +742,27 @@ class DriftRefresh(Workload):
                                self.rng.permutation(
                                    len(stack.test_parts[part])))
             with self.recorder.span("driver.serve"):
-                first = len(loop.done)
+                before = self._shard_stats(stack)
                 start = time.perf_counter()
                 while backlog:
                     loop.round(lambda: backlog.popleft() if backlog
                                else None)
                 end = time.perf_counter()
+                self._served_window(stack, before, start, end)
                 # The driver polls only inside the phase, so everything
-                # appended since ``first`` arrived in it.
-                in_phase = loop.done[first:]
-                self.serve_walls.append((start, end))
+                # delivered since the last take arrived in it.
+                in_phase = loop.take()
+                self._delivered("serve", loop, len(in_phase))
+                trips += len(in_phase)
+                items = sum(d.items for d in in_phase)
+                self.served_items += items
                 latencies.append([d.latency_s for d in in_phase])
-                self.rates[traced].append(
-                    sum(d.items for d in in_phase) / (end - start))
+                self.rates[traced].append(items / (end - start))
                 if end >= deadline and phase > DRIFT_F1_VERSIONS:
                     loop.drain(DRAIN_TIMEOUT_S)
+                    tail = len(loop.take())
+                    self._delivered("serve", loop, tail)
+                    trips += tail
                     break
                 self._refresh(stack)
                 loop.version += 1
@@ -743,14 +770,12 @@ class DriftRefresh(Workload):
         self._report_rate()
         self.out.lines.append(
             f"{len(self.serve_walls)} phases, {len(self.refreshes)} live "
-            f"boundaries, {len(loop.done)} trips")
+            f"boundaries, {trips} trips")
         self._latency(latencies, "trip latency", "phases")
         route_of = lambda index: trip_route(pool[index])  # noqa: E731
         references = self._references(stack, loop.closes, route_of)
-        self._delivered("serve", loop.done, loop.unexpected)
         self._check(loop.results, references, route_of)
         self._drift_quality(stack, loop, offsets, references)
-        self._served_points = sum(d.items for d in loop.done)
 
     def _drift_quality(self, stack: Stack, loop: TripLoop,
                        offsets: np.ndarray, references: References) -> None:
@@ -777,7 +802,7 @@ class DriftRefresh(Workload):
         wall = sum(end - start for start, end in self.serve_walls)
         self._engine_replay(stack.learner.model,
                             [trip_route(trip) for trip in self._pool],
-                            self._served_points, wall, MATCHED_CLIENTS)
+                            self.served_items, wall, MATCHED_CLIENTS)
 
 
 WORKLOADS = {cls.name: cls for cls in (MatchedFleet, RawFleet, DriftRefresh)}
