@@ -475,7 +475,7 @@ class Workload:
                        wall: float, concurrency: int) -> None:
         """Standalone ``StreamEngine`` replay: core self time directly.
 
-        ``served`` items were labeled by the service in ``wall`` seconds;
+        ``served`` points were labeled by the service in ``wall`` seconds;
         ``core.standalone_share`` is the share of that wall the engine
         alone would take at the replay's cost.
         """
@@ -704,8 +704,12 @@ class RawFleet(Workload):
             f"standalone matcher: {replay.fixes} fixes, "
             f"{1e6 * matcher_s / replay.fixes:.1f} us/fix, distance cache "
             f"hit rate {replay.distance_cache_hit_rate:.3f}")
+        # The service served fixes; the engine sees their matched points.
+        points_per_fix = (sum(len(route[0]) for route in self._routes)
+                          / sum(len(trace.points) for trace in traces))
         self._engine_replay(stack.learner.model, self._routes,
-                            self.served_items, self.warm_wall, RAW_CLIENTS)
+                            self.served_items * points_per_fix,
+                            self.warm_wall, RAW_CLIENTS)
 
 
 # -------------------------------------------------------------------- drift
