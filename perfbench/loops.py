@@ -31,7 +31,7 @@ from .spans import SpanRecorder
 #: Driver sleep when a round neither sent nor received anything (the
 #: process shards work on their own clock).
 IDLE_WAIT_S = 0.0002
-#: Longest open-loop sleep, so arriving results are stamped promptly.
+#: Longest open-loop wait, so arriving results are stamped promptly.
 OPEN_LOOP_POLL_S = 0.0005
 
 
@@ -358,7 +358,8 @@ class RawLoop(FleetLoop):
                 f"{timeout_s:.0f}s")
 
     def open_loop(self, next_trip: Callable[[], int], rate: float,
-                  lanes: int, duration_s: float, timeout_s: float) -> int:
+                  lanes: int, duration_s: float, timeout_s: float,
+                  between: Callable[[], None] = lambda: None) -> int:
         """Release fixes on a fixed schedule of ``rate`` fixes per second.
 
         ``lanes`` vehicles drive back to back, each due one fix every
@@ -368,8 +369,8 @@ class RawLoop(FleetLoop):
         after ``duration_s``; trips already started run to their end on
         schedule. A session's latency is counted from when its last fix
         was *due*, so a stall delays the fixes behind it too; how late each
-        fix was released is kept in :attr:`late_s`. Returns the number of
-        sessions started.
+        fix was released is kept in :attr:`late_s`. ``between`` runs once
+        per pass of the loop. Returns the number of sessions started.
         """
         if self.in_flight:
             raise RuntimeError("the open loop needs an idle gateway")
@@ -409,11 +410,17 @@ class RawLoop(FleetLoop):
                 heapq.heappush(schedule, (due + interval, lane))
                 now = time.perf_counter()
             self._collect()
+            between()
             wait = (schedule[0][0] - time.perf_counter() if schedule
                     else IDLE_WAIT_S)
             if wait > 0:
+                # Spin rather than sleep: a core left idle between fixes is
+                # lent to the host's other tenants, and getting it back
+                # costs each wake-up a varying delay.
+                until = time.perf_counter() + min(wait, OPEN_LOOP_POLL_S)
                 with self.recorder.span("idle.wait"):
-                    time.sleep(min(wait, OPEN_LOOP_POLL_S))
+                    while time.perf_counter() < until:
+                        pass
         return started
 
 

@@ -1,5 +1,5 @@
 """Statistics shared by every workload: the percentile rule, completion
-rates, the failure ledger and peak memory.
+rates, the host's speed, the failure ledger and peak memory.
 
 Every timing the benchmark reports goes through :func:`summarize`, so the
 rule "the median plus the highest percentile with at least ten samples
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import resource
 import statistics
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -88,20 +89,110 @@ def median_of(name: str, samples: Sequence[float], min_count: int) -> float:
 
 def completion_rate(completions: Sequence[Tuple[float, int]], start: float,
                     end: float) -> float:
-    """Items per second: least-squares slope of cumulative completions.
+    """Items per second over whole waves of completions.
 
-    ``completions`` are ``(time, items)`` pairs in time order; those in
-    ``[start, end)`` are fitted. Closed loops complete whole trips in
-    waves, and a slope over the whole interval is steadier than counting
-    what happened to land inside it.
+    ``completions`` are ``(time, items)`` pairs in time order; of those in
+    ``[start, end)``, the items completed after the first completion
+    instant are divided by the time from it to the last. Closed loops
+    complete trips in waves (a raw closed loop's sessions arrive as many
+    at a time as it has vehicles), and a window cut between waves would
+    count a fraction of one; measured from wave to wave, a rate counts
+    only whole wave periods.
     """
     window = [(when, items) for when, items in completions
               if start <= when < end]
-    if len(window) < 3:
-        raise TooFewSamples(f"{len(window)} completions cannot give a rate")
-    times = [when for when, _ in window]
-    totals = np.cumsum([items for _, items in window])
-    return float(np.polyfit(times, totals, 1)[0])
+    if len(window) < 3 or window[-1][0] <= window[0][0]:
+        raise TooFewSamples(f"{len(window)} completions at "
+                            f"{len({when for when, _ in window})} instants "
+                            "cannot give a rate")
+    first, last = window[0][0], window[-1][0]
+    return sum(items for when, items in window if when > first) / (
+        last - first)
+
+
+#: Seconds one :func:`reference_kernel` call takes at the host speed every
+#: normalized metric is quoted at (about its time on a quiet 2-vCPU Xeon
+#: VM).
+REFERENCE_KERNEL_S = 4.0e-4
+#: Seconds between two samples of the kernel while the driver serves.
+PACE_EVERY_S = 0.1
+
+
+def reference_kernel() -> int:
+    """A fixed slice of interpreter work, the kind the program's hot path
+    is bound by. It calls nothing in ``repro``, so no change to the
+    program changes its cost. (A kernel with small-array NumPy work
+    tracked the program's speed worse: its samples moved with host states
+    the program hardly felt.)"""
+    total = 0
+    for i in range(6000):
+        total += (i * 7) % 13
+    return total
+
+
+class HostPace:
+    """How slow the host runs, sampled while the benchmark measures.
+
+    The host's own speed swings by tens of percent within seconds (a fixed
+    loop's 1 s rate moves as much as the program's), which no run length
+    averages away. So the driver times :func:`reference_kernel` every
+    :data:`PACE_EVERY_S` while it serves (and in bursts around each refresh,
+    which it cannot interrupt), and :meth:`slowdown` of a window
+    is the median sample in it over :data:`REFERENCE_KERNEL_S` (the median,
+    because a sample the scheduler interrupted reads many times too slow).
+    Dividing a duration measured in that window by its slowdown (or
+    multiplying a rate) quotes it at the reference speed. The samples run
+    in the driver's own thread between its calls into the program, so
+    whatever slows the host for the program slows them too — including, in
+    part, a program that itself makes the host slower (more memory
+    traffic, more busy processes than cores); the report prints every
+    slowdown beside the rates.
+    """
+
+    def __init__(self):
+        self.samples: List[Tuple[float, float]] = []
+        self._next = 0.0
+
+    def sample(self, count: int = 1) -> None:
+        """Time ``count`` kernel calls after an untimed one, so the samples
+        do not depend on what the program left in the caches."""
+        reference_kernel()
+        for _ in range(count):
+            started = time.perf_counter()
+            reference_kernel()
+            self.samples.append((started, time.perf_counter() - started))
+
+    def poll(self) -> None:
+        """Sample once when :data:`PACE_EVERY_S` has passed."""
+        now = time.perf_counter()
+        if now >= self._next:
+            self.sample()
+            self._next = now + PACE_EVERY_S
+
+    def slowdown(self, windows: Sequence[Tuple[float, float]]) -> float:
+        """The median sample taken inside any of ``(start, end)`` windows,
+        over :data:`REFERENCE_KERNEL_S`."""
+        inside = [seconds for when, seconds in self.samples
+                  if any(start <= when <= end for start, end in windows)]
+        if not inside:
+            raise TooFewSamples(f"no host-speed sample in {len(windows)} "
+                                "window(s)")
+        return statistics.median(inside) / REFERENCE_KERNEL_S
+
+    def around(self, times: Sequence[float], half_width: float
+               ) -> np.ndarray:
+        """The slowdown at each of ``times``: the median sample taken
+        within ``half_width`` seconds of it (samples are in time order)."""
+        when = np.array([when for when, _ in self.samples])
+        seconds = np.array([seconds for _, seconds in self.samples])
+        times = np.asarray(times, dtype=float)
+        lows = np.searchsorted(when, times - half_width)
+        highs = np.searchsorted(when, times + half_width, side="right")
+        if np.any(highs <= lows):
+            raise TooFewSamples(f"no host-speed sample within "
+                                f"{half_width:g}s of a time")
+        return np.array([np.median(seconds[low:high]) for low, high
+                         in zip(lows, highs)]) / REFERENCE_KERNEL_S
 
 
 @dataclass

@@ -6,7 +6,10 @@
 Run from the repository root (the program is imported from ``src/``).
 ``--trace 0`` prints every end-to-end metric ``BENCHMARK.json`` names,
 ``--trace 1`` every per-layer metric plus the per-layer self-time table,
-and writes the spans to ``.perfbench_out/``. The last line of standard
+and writes the spans to ``.perfbench_out/``. Serving rates, latencies and
+refresh times are quoted at a reference host speed, from samples of a
+fixed kernel taken during the run (``perfbench.measure.HostPace``); the
+report prints the slowdowns beside them. The last line of standard
 output is one JSON object: ``correct``, ``attempted``, ``failed``,
 ``metrics``. Any wrong label, undelivered result or bus gap makes
 ``correct`` false and the exit code 1. ``--smoke`` runs every workload

@@ -23,8 +23,9 @@ if str(ROOT / "src") not in sys.path:
 
 from perfbench.loops import (Done, RawLoop, Results,  # noqa: E402
                              shuffled_fixes)
-from perfbench.measure import (Ledger, TooFewSamples,  # noqa: E402
-                               completion_rate, summarize)
+from perfbench.measure import (REFERENCE_KERNEL_S, HostPace,  # noqa: E402
+                               Ledger, TooFewSamples, completion_rate,
+                               summarize)
 from perfbench.spans import SpanRecorder  # noqa: E402
 from perfbench.workloads import MatchedFleet  # noqa: E402
 from repro.trajectory.models import GPSPoint, RawTrajectory  # noqa: E402
@@ -47,12 +48,50 @@ def test_highest_supported_percentile_grows_with_the_sample():
     assert summarize("x", list(range(10_000)), "ms").highest_q == 0.999
 
 
-def test_completion_rate_is_the_slope_of_cumulative_items():
+def test_completion_rate_counts_whole_wave_periods():
     completions = [(0.01 * step, 5) for step in range(1, 401)]  # 500/s
     assert completion_rate(completions, 0.0, 10.0) == pytest.approx(500.0)
     assert completion_rate(completions, 1.0, 3.0) == pytest.approx(500.0)
+    # Waves of 64 every 0.8 s: 80/s wherever the window cuts them.
+    waves = [(0.8 * wave + 0.3, 1) for wave in range(10) for _ in range(64)]
+    for start, end in [(0.0, 8.0), (0.5, 6.0), (1.0, 7.5)]:
+        assert completion_rate(waves, start, end) == pytest.approx(80.0)
     with pytest.raises(TooFewSamples):
         completion_rate(completions[:2], 0.0, 10.0)
+    with pytest.raises(TooFewSamples, match="1 instants"):
+        completion_rate(waves[:64], 0.0, 10.0)
+
+
+def test_host_slowdown_is_the_median_sample_inside_the_windows():
+    pace = HostPace()
+    ref = REFERENCE_KERNEL_S
+    pace.samples = [(0.5, ref), (1.0, 2 * ref), (1.5, 30 * ref),
+                    (5.0, 10 * ref), (8.0, ref), (8.5, 3 * ref),
+                    (9.0, 4 * ref)]
+    # The interrupted 30x sample moves nothing.
+    assert pace.slowdown([(0.0, 2.0)]) == pytest.approx(2.0)
+    assert pace.slowdown([(0.0, 2.0), (7.0, 9.0)]) == pytest.approx(2.5)
+    assert pace.slowdown([(4.0, 6.0)]) == pytest.approx(10.0)
+    with pytest.raises(TooFewSamples):
+        pace.slowdown([(2.0, 4.5)])
+
+
+def test_host_slowdown_around_each_time():
+    pace = HostPace()
+    ref = REFERENCE_KERNEL_S
+    pace.samples = [(0.0, ref), (0.1, 3 * ref), (0.2, 2 * ref),
+                    (5.0, 4 * ref)]
+    assert list(pace.around([0.1, 5.2], 0.5)) == pytest.approx([2.0, 4.0])
+    with pytest.raises(TooFewSamples):
+        pace.around([2.5], 0.5)
+
+
+def test_host_pace_samples_on_its_own_clock():
+    pace = HostPace()
+    pace.poll()
+    pace.poll()  # too soon for another sample
+    assert len(pace.samples) == 1
+    assert pace.samples[0][1] > 0
 
 
 # ------------------------------------------------------------- self time

@@ -4,23 +4,30 @@
   shard: the paper's Fig. 3 / Table 3 setting, where the ``StreamEngine``
   tick and the ``nn`` math do nearly all the work.
 * ``raw_fleet`` — raw GPS fixes with a few adjacent pairs swapped, through
-  the gateway with shard-placed matching into two process shards; a
+  the gateway with shard-placed matching into one in-process shard; a
   closed loop for throughput and an open loop at a fixed rate for latency
   under independent arrivals. Matching dominates.
-* ``drift_refresh`` — trips of alternating day-parts into two process
-  shards; at every part boundary, with trips still in flight, the
+* ``drift_refresh`` — trips of alternating day-parts into one process
+  shard; at every part boundary, with trips still in flight, the
   ``OnlineLearner`` fine-tunes and swaps weights plus a history delta into
   the live service. Transport and the control plane dominate.
 
-The host's speed swings by tens of percent over seconds, so no metric
-comes from one stretch of the run: the first two workloads serve in
-``SEGMENTS`` closed-loop segments (raw_fleet adds an open-loop segment
-after every other one), each followed by quiesced refreshes (so
+The host's speed swings by tens of percent within seconds, so every
+end-to-end timing is quoted at a reference host speed: the driver samples
+a fixed kernel while it works (:class:`~perfbench.measure.HostPace`), and
+each rate is multiplied, each duration divided, by the slowdown sampled
+over the window it was measured in. No metric comes from one stretch of
+the run either: matched_fleet serves in ``SEGMENTS`` closed-loop
+segments, raw_fleet in two longer ones, each followed by an open-loop
+segment; every segment is followed by quiesced refreshes (so
 ``refresh_s`` is measured on every transport), and ``drift_refresh``
 refreshes at every one of its many phase boundaries. Rates and latency
-percentiles are medians over segments or phases. In a traced run every
-other segment (or phase) is traced, and the untraced/traced rate ratio is
-the tracing overhead.
+percentiles are medians over segments or phases. Only drift_refresh runs
+a shard process, beside the driver, so no workload keeps more processes
+busy than a 2-core host has cores, and wherever the driver itself does
+the program's work its host samples see the speed that work ran at. In a
+traced run every other segment (or phase) is traced, and the
+untraced/traced rate ratio is the tracing overhead.
 """
 
 from __future__ import annotations
@@ -41,24 +48,31 @@ from repro.trajectory.models import MatchedTrajectory
 from .loops import (CloseOrder, FleetLoop, RawLoop, Refresh, Results, Route,
                     TripCycle, TripLoop, refresh, replay_engine,
                     replay_in_order, replay_matcher)
-from .measure import (Ledger, completion_rate, median_of, peak_rss_mb,
-                      summarize)
+from .measure import (HostPace, Ledger, completion_rate, median_of,
+                      peak_rss_mb, summarize)
 from .spans import SpanRecorder
 from .stack import Stack, build_stack
 
 #: Set-ups per run; ``setup_s`` is their median.
 SETUPS = 3
-#: Serving segments of matched_fleet and raw_fleet, and the quiesced
-#: refreshes after each.
+#: Host-speed samples taken before and after each refresh, which cannot
+#: be interrupted for samples.
+PACE_SAMPLES = 5
+#: Serving segments of matched_fleet (raw_fleet's are fewer and longer),
+#: and the quiesced refreshes after each.
 SEGMENTS = 4
 REFRESHES_PER_SEGMENT = 4
 #: Trips in flight in the matched closed loops.
 MATCHED_CLIENTS = 128
-#: Vehicles in flight in the raw closed loop (the ``repro soak`` default).
-RAW_CLIENTS = 64
-#: Open-loop rate in fixes per second, spread over ``OPEN_LOOP_LANES``
-#: vehicles: about a third of the raw closed-loop capacity (~7k fixes/s)
-#: on a 2-core host, where the driver shares the cores with both shards.
+#: Vehicles in flight in the raw closed loop. The shard returns finished
+#: sessions in batches, so a closed loop completes them in waves as wide
+#: as itself: 64 vehicles (the ``repro soak`` default) finished in waves
+#: of 64 every ~0.9 s, at rates 20% apart from one segment to the next;
+#: 16 finish in waves of 16, at a higher rate that holds within 5%.
+RAW_CLIENTS = 16
+#: Open-loop rate in fixes per second at reference host speed, spread
+#: over ``OPEN_LOOP_LANES`` vehicles: about a quarter of the raw
+#: closed-loop capacity (~9k fixes/s at reference speed).
 #: Nearer capacity, the host's own speed swings turn into queueing and
 #: the latency tail stops repeating from run to run.
 OPEN_LOOP_RATE = 2500.0
@@ -75,13 +89,12 @@ FINE_TUNE_TRIPS = 32
 #: fine-tuned versions drift_refresh's F1 is computed over.
 DRIFT_PASSES = 8
 DRIFT_F1_VERSIONS = 2
-#: Share of a closed-loop segment treated as warm-up: completions before
-#: it are left out of the rate and the latencies.
-WARMUP = 0.1
-#: Open-loop segments of raw_fleet, and the sessions each is sized to
-#: start (with a 1.2 margin): enough for its p90 to rest on 25 samples
-#: beyond it; a smoke run starts only the 100 the percentile rule needs.
-OPEN_SEGMENTS = 2
+#: Seconds either side of a session's end whose host samples quote its
+#: latency.
+LATENCY_PACE_S = 0.5
+#: Sessions each open-loop segment of raw_fleet is sized to start (with a
+#: 1.2 margin): enough for its p90 to rest on 25 samples beyond it; a
+#: smoke run starts only the 100 the percentile rule needs.
 MIN_OPEN_SESSIONS = 250
 SMOKE_OPEN_SESSIONS = 100
 DRAIN_TIMEOUT_S = 60.0
@@ -122,6 +135,10 @@ class Workload:
     backend = "inprocess"
     shards = 1
     raw = False
+    segments = SEGMENTS
+    #: Share of a closed-loop segment treated as warm-up: completions
+    #: before it are left out of the rate and the latencies.
+    warmup = 0.1
 
     def __init__(self, seed: int, seconds: float, trace: bool,
                  import_s: float, smoke: bool = False):
@@ -136,6 +153,9 @@ class Workload:
                               else MIN_OPEN_SESSIONS)
         self.rng = np.random.default_rng(seed)
         self.recorder = SpanRecorder(enabled=False)
+        self.pace = HostPace()
+        #: The host slowdown of every measured window, for the report.
+        self.slowdowns: List[float] = []
         self.out = Outcome()
         self.refreshes: List[Refresh] = []
         self.serve_walls: List[Tuple[float, float]] = []
@@ -157,6 +177,8 @@ class Workload:
             stack.learner.attach_service(stack.service)
             self.serve(stack)
             self.recorder.enabled = self.trace
+            self.out.metrics["host.slowdown"] = self.slowdown
+            self._setup_metrics()
             self._after = stack.service.metrics()
             self._service_metrics(stack)
             if self.trace:
@@ -172,16 +194,23 @@ class Workload:
         """Build the stack ``setups`` times and keep the last; only one is
         alive at a time, so set-up repeats do not inflate peak memory."""
         steps = ("city_s", "train_s", "service_start_s", "setup_s")
-        timings: Dict[str, List[float]] = {step: [] for step in steps}
+        self.setup_timings = {step: [] for step in steps}
         for repeat in range(self.setups):
             stack = build_stack(self.backend, self.shards, self.raw)
             for step in steps:
-                timings[step].append(getattr(stack, step))
+                self.setup_timings[step].append(getattr(stack, step))
             if repeat < self.setups - 1:
                 stack.close()
                 stack = None
+        return stack
+
+    def _setup_metrics(self) -> None:
+        """Set-up steps as measured: set-up cannot be interrupted for host
+        samples, and neither bursts of samples around it nor the whole
+        run's slowdown made ``setup_s`` steadier."""
+        timings = self.setup_timings
         metrics = self.out.metrics
-        for step in steps[:3]:
+        for step in ("city_s", "train_s", "service_start_s"):
             metrics[f"setup.{step}"] = median_of(step, timings[step], 1)
         metrics["setup_s"] = self.import_s + median_of(
             "setup_s", timings["setup_s"], 1)
@@ -189,7 +218,6 @@ class Workload:
             f"set-up x{self.setups}: " + ", ".join(
                 f"{seconds:.3f}s" for seconds in timings["setup_s"])
             + f" (+{self.import_s:.3f}s imports)")
-        return stack
 
     def serve(self, stack: Stack) -> None:
         raise NotImplementedError
@@ -204,15 +232,29 @@ class Workload:
         the run is traced), plus the tracing overhead."""
         metrics = self.out.metrics
         untraced, traced = self.rates[False], self.rates[True]
-        metrics["points_per_s"] = median_of("segment rates", untraced, 2)
+        metrics["points_per_s"] = median_of("segment rates", untraced, 1)
         self.out.lines.append(
-            "segment rates: " + " ".join(f"{rate:.0f}" for rate in untraced)
+            "segment rates at reference speed: "
+            + " ".join(f"{rate:.0f}" for rate in untraced)
             + (" | traced: " + " ".join(f"{rate:.0f}" for rate in traced)
                if traced else ""))
+        self.out.lines.append(
+            "host slowdown per window: "
+            + " ".join(f"{slow:.2f}" for slow in self.slowdowns))
         if self.trace:
             metrics["trace.overhead_ratio"] = (
                 metrics["points_per_s"]
                 / median_of("traced segment rates", traced, 1))
+
+    @property
+    def slowdown(self) -> float:
+        """The host slowdown over every sample of the run."""
+        return self.pace.slowdown([(0.0, float("inf"))])
+
+    def _slowdown(self, start: float, end: float) -> float:
+        """The host slowdown over a measured window, kept for the report."""
+        self.slowdowns.append(self.pace.slowdown([(start, end)]))
+        return self.slowdowns[-1]
 
     def _shard_stats(self, stack: Stack) -> list:
         with self.recorder.span("serve.metrics"):
@@ -242,9 +284,14 @@ class Workload:
     def _refresh(self, stack: Stack) -> None:
         """One part boundary: fine-tune on the next part and swap."""
         part = (len(self.refreshes) + 1) % len(stack.train_parts)
-        self.refreshes.append(refresh(
-            stack.learner, self.recorder, part,
-            stack.train_parts[part][:FINE_TUNE_TRIPS]))
+        started = time.perf_counter()
+        self.pace.sample(PACE_SAMPLES)
+        record = refresh(stack.learner, self.recorder, part,
+                         stack.train_parts[part][:FINE_TUNE_TRIPS])
+        self.pace.sample(PACE_SAMPLES)
+        slow = self.pace.slowdown([(started, time.perf_counter())])
+        self.refreshes.append(Refresh(wall_s=record.wall_s / slow,
+                                      fine_tune_s=record.fine_tune_s / slow))
         self.out.ledger.attempt("refresh")
 
     def _closed_segments(self, stack: Stack, loop: FleetLoop,
@@ -252,7 +299,7 @@ class Workload:
                          root: str, phase: str,
                          after: Callable[[int], None] = lambda segment: None
                          ) -> List[List[float]]:
-        """``SEGMENTS`` closed-loop segments, each drained, then ``after``
+        """:attr:`segments` closed-loop segments, each drained, then ``after``
         (given the segment's index) and ``REFRESHES_PER_SEGMENT`` quiesced
         refreshes.
 
@@ -263,7 +310,7 @@ class Workload:
         :attr:`served_items` and their wall in :attr:`warm_wall`.
         """
         latencies: List[List[float]] = []
-        for segment in range(SEGMENTS):
+        for segment in range(self.segments):
             traced = self._traced(segment)
             self._remember(stack, loop.version)
             with self.recorder.span(root):
@@ -271,16 +318,18 @@ class Workload:
                 start = time.perf_counter()
                 while time.perf_counter() < start + segment_s:
                     step()
+                    self.pace.poll()
                 end = time.perf_counter()
                 self._served_window(stack, before, start, end)
                 loop.drain(DRAIN_TIMEOUT_S)
             done = loop.take()
             self._delivered(phase, loop, len(done))
-            settled = start + WARMUP * (end - start)
+            settled = start + self.warmup * (end - start)
             window = [d for d in done if settled <= d.arrived < end]
-            self.rates[traced].append(completion_rate(
+            slow = self._slowdown(settled, end)
+            self.rates[traced].append(slow * completion_rate(
                 [(d.arrived, d.items) for d in window], settled, end))
-            latencies.append([d.latency_s for d in window])
+            latencies.append([d.latency_s / slow for d in window])
             self.served_items += sum(d.items for d in window)
             self.warm_wall += end - settled
             after(segment)
@@ -302,7 +351,8 @@ class Workload:
             f"refresh_s: p50 {metrics['refresh_s.p50']:.4g} s over "
             f"{len(walls)} boundaries (fine-tune p50 "
             f"{metrics['core.fine_tune_s']:.4g} s, swap p50 "
-            f"{metrics['history.swap_ms']:.4g} ms)")
+            f"{metrics['history.swap_ms']:.4g} ms), each at the host "
+            "slowdown sampled around it")
 
     # ------------------------------------------------------------- checks
     def _references(self, stack: Stack, closes: CloseOrder,
@@ -580,9 +630,13 @@ def projected_truth(truth: MatchedTrajectory, segments: Sequence[int]
 
 class RawFleet(Workload):
     name = "raw_fleet"
-    backend = "process"
-    shards = 2
+    backend = "inprocess"
+    shards = 1
     raw = True
+    #: Two long closed segments, each followed by an open-loop one; a
+    #: quarter of each is warm-up, as the loop refills after every drain.
+    segments = 2
+    warmup = 0.25
 
     def _recording(self, stack: Stack) -> RawLoop:
         """The fixed raw recording of the part-0 test routes, its offline
@@ -608,40 +662,60 @@ class RawFleet(Workload):
         loop = self._raw_loop = self._recording(stack)
         traces = loop.pool
         cycle = TripCycle(len(traces), self.rng)
-        # Each open-loop segment admits for long enough to start
-        # ``open_sessions`` sessions, with a margin.
         mean_fixes = sum(len(t.points) for t in traces) / len(traces)
-        open_s = max(0.5 * self.seconds / OPEN_SEGMENTS,
-                     1.2 * self.open_sessions * mean_fixes / OPEN_LOOP_RATE)
         opened: List[List[float]] = []
+        measured: List[List[float]] = []
+        rates: List[float] = []
 
         def open_segment(segment: int) -> None:
-            """An open-loop segment after every other closed one."""
-            if (segment + 1) % (SEGMENTS // OPEN_SEGMENTS):
-                return
+            """An open-loop segment after every closed one.
+
+            Its rate is ``OPEN_LOOP_RATE`` at reference speed: the schedule
+            slows with the host, as sampled over the closed segment just
+            before, so the load, and the queueing in the latency, does not
+            rise and fall with the host's speed. It admits for long enough
+            to start ``open_sessions`` sessions, with a margin.
+            """
+            rates.append(OPEN_LOOP_RATE / self.slowdowns[-1])
+            open_s = max(0.5 * self.seconds / self.segments,
+                         1.2 * self.open_sessions * mean_fixes / rates[-1])
             with self.recorder.span("driver.serve_open"):
                 before = self._shard_stats(stack)
                 start = time.perf_counter()
-                loop.open_loop(cycle, OPEN_LOOP_RATE, OPEN_LOOP_LANES,
-                               open_s, DRAIN_TIMEOUT_S)
-                self._served_window(stack, before, start,
-                                    time.perf_counter())
+                loop.open_loop(cycle, rates[-1], OPEN_LOOP_LANES, open_s,
+                               DRAIN_TIMEOUT_S, self.pace.poll)
+                end = time.perf_counter()
+                self._served_window(stack, before, start, end)
             done = loop.take()
             self._delivered("open loop", loop, len(done))
-            opened.append([d.latency_s for d in done])
+            self._slowdown(start, end)
+            # The host can change speed within a segment, so each latency
+            # is quoted at the slowdown sampled around its session's end.
+            slows = self.pace.around([d.arrived for d in done],
+                                     LATENCY_PACE_S)
+            opened.append([d.latency_s / slow
+                           for d, slow in zip(done, slows)])
+            measured.append([d.latency_s for d in done])
 
         # Raw sessions are ~85 fixes long: a closed segment shorter than a
         # few session lengths would measure its own ramp.
         self._closed_segments(
             stack, loop, lambda: loop.closed_round(cycle, RAW_CLIENTS),
-            max(0.4 * self.seconds / SEGMENTS, 2.0), "driver.serve_closed",
+            max(0.4 * self.seconds / self.segments, 2.0),
+            "driver.serve_closed",
             "closed loop", after=open_segment)
         self._report_rate()
         self._latency(opened,
-                      f"session latency at {OPEN_LOOP_RATE:.0f} fixes/s")
+                      f"session latency at {OPEN_LOOP_RATE:.0f} fixes/s "
+                      "(" + "/".join(f"{rate:.0f}" for rate in rates)
+                      + " as run)")
         late = summarize("driver lateness", [1e3 * s for s in loop.late_s],
                          "ms")
         self.out.lines.append(late.format())
+        self.out.lines.append(
+            "  as measured: " + summarize(
+                "session latency", [1e3 * s for group in measured
+                                    for s in group], "ms").format())
         self.out.lines.append(
             f"open loop: {sum(map(len, opened))} sessions delivered; "
             f"{loop.fixes_swapped} of {loop.fixes_sent} fixes sent swapped")
@@ -716,7 +790,7 @@ class RawFleet(Workload):
 class DriftRefresh(Workload):
     name = "drift_refresh"
     backend = "process"
-    shards = 2
+    shards = 1
 
     def serve(self, stack: Stack) -> None:
         """Serve day-parts in turn until the run's time is up.
@@ -751,6 +825,7 @@ class DriftRefresh(Workload):
                 while backlog:
                     loop.round(lambda: backlog.popleft() if backlog
                                else None)
+                    self.pace.poll()
                 end = time.perf_counter()
                 self._served_window(stack, before, start, end)
                 # The driver polls only inside the phase, so everything
@@ -760,8 +835,9 @@ class DriftRefresh(Workload):
                 trips += len(in_phase)
                 items = sum(d.items for d in in_phase)
                 self.served_items += items
-                latencies.append([d.latency_s for d in in_phase])
-                self.rates[traced].append(items / (end - start))
+                slow = self._slowdown(start, end)
+                latencies.append([d.latency_s / slow for d in in_phase])
+                self.rates[traced].append(slow * items / (end - start))
                 if end >= deadline and phase > DRIFT_F1_VERSIONS:
                     loop.drain(DRAIN_TIMEOUT_S)
                     tail = len(loop.take())
