@@ -136,8 +136,8 @@ class HostPace:
     The host's own speed swings by tens of percent within seconds (a fixed
     loop's 1 s rate moves as much as the program's), which no run length
     averages away. So the driver times :func:`reference_kernel` every
-    :data:`PACE_EVERY_S` while it serves (and in bursts around each refresh,
-    which it cannot interrupt), and :meth:`slowdown` of a window
+    :data:`PACE_EVERY_S` while it serves (and in bursts around each
+    refresh, which it cannot interrupt), and :meth:`slowdown` of a window
     is the median sample in it over :data:`REFERENCE_KERNEL_S` (the median,
     because a sample the scheduler interrupted reads many times too slow).
     Dividing a duration measured in that window by its slowdown (or
@@ -189,7 +189,7 @@ class HostPace:
         lows = np.searchsorted(when, times - half_width)
         highs = np.searchsorted(when, times + half_width, side="right")
         if np.any(highs <= lows):
-            raise TooFewSamples(f"no host-speed sample within "
+            raise TooFewSamples("no host-speed sample within "
                                 f"{half_width:g}s of a time")
         return np.array([np.median(seconds[low:high]) for low, high
                          in zip(lows, highs)]) / REFERENCE_KERNEL_S
