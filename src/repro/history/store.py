@@ -580,9 +580,9 @@ class RouteHistoryStore:
 def snapshot_to_bytes(snapshot: HistorySnapshot) -> bytes:
     """Serialize a snapshot (memo caches stripped) to a byte blob.
 
-    This is the payload :meth:`DetectionService.swap_history` broadcasts to
-    worker shards, and the clone mechanism that keeps in-process shards from
-    sharing one mutable memo.
+    This is the payload :meth:`DetectionService.swap_history` broadcasts
+    (inside a pickled :class:`~repro.serve.backends.ControlUpdate`) to every
+    shard, each of which unpickles its own copy with its own memo caches.
     """
     return pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -599,9 +599,7 @@ def clone_snapshot(snapshot: HistorySnapshot) -> HistorySnapshot:
     """A deep, independent copy (serialize/deserialize round trip).
 
     The clone shares no mutable state — in particular no memo caches — with
-    the original, so handing one to each in-process shard keeps shard
-    engines exactly as isolated as the multi-process backend's pickling
-    would.
+    the original.
     """
     return snapshot_from_bytes(snapshot_to_bytes(snapshot))
 
@@ -626,8 +624,7 @@ def delta_from_bytes(blob: bytes) -> HistoryDelta:
 def clone_delta(delta: HistoryDelta) -> HistoryDelta:
     """A deep, independent copy of a delta (serialize round trip).
 
-    The in-process backend's isolation primitive for the delta path: the
-    caller's trajectory objects riding in the delta never alias serving
-    state, mirroring what :func:`clone_snapshot` does for full swaps.
+    The caller's trajectory objects riding in the delta are never aliased
+    by the copy, mirroring what :func:`clone_snapshot` does for snapshots.
     """
     return delta_from_bytes(delta_to_bytes(delta))

@@ -13,7 +13,7 @@ deployable detector:
   through a service (the benchmark/differential-test driver).
 * :mod:`~repro.serve.checkpoint` — model persistence:
   :meth:`RL4OASDModel.save` / :meth:`RL4OASDModel.load` delegate here, and
-  the multi-process backend ships its pickled model snapshots through it.
+  every shard rebuilds its engine from the pickled model blob it produces.
 * :mod:`~repro.serve.metrics` — per-shard throughput, queue depth and cache
   hit rate, convertible to :class:`~repro.eval.timing.ThroughputReport`.
 * :mod:`~repro.serve.sharding` — stable vehicle-to-shard assignment.

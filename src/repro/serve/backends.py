@@ -1,81 +1,70 @@
-"""Shard execution backends of the detection service.
+"""Shard execution backends of the detection service: one core, two transports.
 
-Both backends run one :class:`~repro.core.stream.StreamEngine` per shard and
-feed it through a bounded per-shard ingest queue — a full queue is the
-backpressure signal the service surfaces to callers. They differ in *where*
-the engine runs:
+Every shard is one :class:`ShardCore` — a :class:`~repro.core.stream.
+StreamEngine` rebuilt from the service's pickled model blob
+(:func:`~repro.serve.checkpoint.model_to_bytes`) plus its result bus,
+optional work plane, observe-only tracer, queue-wait reservoir, busy clock
+and swap counter. A core does all its work through :meth:`ShardCore.handle`
+(one command tuple in, at most one reply out) and :meth:`ShardCore.tick`.
+The two transports only *deliver* commands to it:
 
-* :class:`InProcessBackend` — every shard engine lives in the calling
-  process, events sit in plain deques, and nothing advances until the caller
-  pumps. Fully deterministic and debuggable; this is the backend the
-  differential tests drive, and the right choice when the caller is itself a
-  batch job.
-* :class:`ProcessBackend` — one OS process per shard, fed through bounded
-  ``multiprocessing`` queues from a pickled model blob
-  (:func:`~repro.serve.checkpoint.model_to_bytes`). Workers drain their
-  queue and tick continuously, so shard compute overlaps with the caller's
-  ingest loop and with every other shard — this is where multi-core
-  throughput comes from.
+* :class:`InProcessBackend` — every core lives in the calling process
+  behind one bounded FIFO deque of commands; nothing advances until the
+  caller pumps (``pump`` feeds each deque to its core, then ticks).
+  Deterministic and debuggable; the substrate of the differential tests.
+* :class:`ProcessBackend` — one OS process per shard runs the same core in
+  a loop over a bounded ``multiprocessing`` command queue, ticking
+  continuously, so shard compute overlaps with the caller and with every
+  other shard. A dead worker is reported as a :class:`ServiceError` naming
+  the shard at the next send, reply wait or result poll.
 
 Label equivalence holds for both: a stream's labels never depend on how
 ticks interleave with arrivals (each stream advances at most one point per
 tick, and per-stream state is self-contained), so sharding a fleet across
 engines — in whatever process — yields exactly the labels of one big engine.
 
-Worker protocol (process backend): commands are tuples ``(kind, ...)`` on
-the bounded command queue; ``ingest`` and ``ingest_batch`` (one command
-carrying many points — the IPC-amortized path behind
-:meth:`DetectionService.ingest_many`) are fire-and-forget, while ``sync`` /
-``finalize`` / ``stats`` / ``swap`` / ``obs`` / ``stop`` each produce
-exactly one reply ``(kind, payload)`` on the result queue (``obs`` ships the
-shard's cumulative metrics registry home by pickle and drains its trace
-spans — the observability plane of :mod:`repro.obs`).
+**Command protocol.** A command is a tuple ``(kind, payload, ...)``.
 
-**Results bus.** On top of the request/reply protocol both backends run a
-push-based result plane (:mod:`repro.serve.resultbus`): a ``finalize_async``
-command is fire-and-forget — the shard finalizes the streams on its own
-clock and *publishes* each :class:`~repro.core.detector.DetectionResult`
-(or, on failure, one error envelope) to its :class:`~repro.serve.resultbus.
-ShardResultBus`. The process backend ships published envelopes over a
-dedicated per-shard bus queue, one message per batch (never the reply
-queue, whose one-reply-per-request pairing must stay undisturbed); the
-in-process backend hands them over directly at ``take_results``. Envelopes
-stay in the shard's unacked window until the facade acknowledges its
-watermark (``bus_ack``, fire-and-forget); ``bus_replay`` / ``bus_stats``
-are replied. Planes participate too: a plane exposing a ``bind_bus(publish)``
-method is handed the shard bus's ``publish`` at install time, which is how
-gateway sessions complete through the bus (:class:`~repro.ingest.shardmatch.
-MatchFinishAsync`). Because ``finalize_async`` rides the same FIFO as
-ingest, every point queued before it is applied before the finalize — the
-exact boundary the synchronous ``finalize`` observes.
+* *Fire-and-forget* kinds ride the shard's bounded queue — one queue slot
+  per command, however many points or plane commands it carries — and carry
+  their enqueue timestamp as a third element (the queue-wait sample):
+  ``ingest`` (a list of :class:`IngestEvent`), ``finalize_async`` (vehicle
+  ids; results are *published* to the shard's
+  :class:`~repro.serve.resultbus.ShardResultBus`, one ``"result"`` envelope
+  per vehicle or one ``"error"`` envelope for the batch), ``plane`` (a list
+  of plane commands) and ``bus_ack`` (a sequence watermark). A failing
+  fire-and-forget command is stashed and raised at the shard's next
+  replied command instead of desynchronizing it silently.
+* *Replied* kinds produce exactly one reply ``(kind, payload)`` echoing the
+  command's kind, or ``("error", exception)``: ``sync`` (quiesce),
+  ``finalize``, ``swap`` (a pickled :class:`ControlUpdate`), ``stats``,
+  ``bus_replay``, ``bus_stats``, ``obs`` (the tracer's cumulative registry
+  and drained spans), ``install_plane``, ``plane_request``, ``plane_stats``.
+  Requests that concern every shard are broadcast first and every reply is
+  read before the first error is raised, so no unread reply can answer a
+  shard's next request.
 
-**Work planes.** Either backend can additionally host one *plane* per
-shard: an opaque work object built next to the shard's engine by a
-caller-supplied picklable factory (``factory(shard_id, engine) -> plane``)
-and driven through the same per-shard FIFO as ingest. The backend knows
-nothing about what a plane does — it only routes commands to the plane's
-``handle(command)`` (fire-and-forget, like ``ingest``), ``request(command)``
-(one reply) and ``stats()`` duck-typed methods. This is how the raw-GPS
-gateway pushes online map matching into the shard workers
-(:class:`~repro.ingest.shardmatch.ShardMatcherPlane`): matching runs on the
-shard's core and its committed segments flow straight into the colocated
-engine, instead of round-tripping through the facade. Plane commands add
-the worker kinds ``install_plane`` / ``plane_request`` / ``plane_stats``
-(replied) and ``plane`` / ``plane_batch`` (fire-and-forget, errors stashed
-like an ``ingest`` failure). The single-caller service
-never pipelines two replied commands at once, so replies cannot interleave.
-Because the queue is FIFO, every point that is *eligible for labeling* by
-the time a ``swap`` command (a :class:`ControlUpdate` carrying new weights,
-a new history snapshot, or both) arrives is labeled by the old
-weights/history — the worker applies all earlier ingests and quiesces the
-engine before loading the update — which is what makes hot-swaps
-deterministic and testable. (Points that only become labelable later — a
-stream's latest point awaiting its successor, or any point of a deferred
-stream, which is labeled wholly at finalize — get whatever weights are
-serving then, exactly like a single engine whose weights were swapped at
-the same quiescent boundary. History goes one step further: each *stream*
-pins the snapshot it opened with, so even a deferred stream finalized after
-a history refresh is labeled by its pre-refresh history.)
+Because each shard's commands run in FIFO order, an async finalize sees
+exactly the points queued before it, and every point *eligible for
+labeling* when a ``swap`` arrives is labeled by the old weights/history —
+the core quiesces its engine before loading the update — which is what
+makes hot-swaps deterministic and testable. (Points that only become
+labelable later — a stream's latest point awaiting its successor, or any
+point of a deferred stream — get whatever weights serve then, exactly like
+a single engine swapped at the same quiescent boundary; history goes one
+step further, each stream pinning the snapshot it opened with.) Every core
+unpickles its own copy of the update, which is the per-shard isolation of
+history snapshots and deltas on both transports.
+
+**Work planes.** A shard can also host one *plane*: an opaque work object
+built next to the engine by a caller-supplied factory (``factory(shard_id,
+engine) -> plane``, picklable for the process backend) and driven through
+the same FIFO. The backend only routes commands to the plane's duck-typed
+``handle(command)`` (fire-and-forget), ``request(command)`` (one reply) and
+``stats()``; a plane with a ``bind_bus(publish)`` method is handed the shard
+bus's ``publish`` at install time. This is how the raw-GPS gateway runs
+online map matching inside the shards (:class:`~repro.ingest.shardmatch.
+ShardMatcherPlane`) and completes sessions over the bus.
 """
 
 from __future__ import annotations
@@ -84,14 +73,11 @@ import pickle
 import queue as queue_module
 import time
 from collections import deque
-from typing import Deque, Hashable, List, NamedTuple, Optional, Sequence
+from typing import Hashable, List, NamedTuple, Optional, Sequence
 
 from ..core.detector import DetectionResult
-from ..core.stream import StreamEngine
 from ..exceptions import ServiceError
-from ..history import (HistoryDelta, HistorySnapshot,
-                       apply_delta as apply_history_delta, clone_delta,
-                       clone_snapshot)
+from ..history import HistoryDelta, HistorySnapshot, apply_delta
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..obs.trace import TraceContext, Tracer, timestamp as obs_timestamp
 from .checkpoint import WeightsSnapshot, model_from_bytes
@@ -100,8 +86,12 @@ from .resultbus import ResultEnvelope, ShardResultBus
 
 #: Seconds a worker sleeps on its command queue when fully idle.
 _IDLE_WAIT_S = 0.05
-#: Seconds the service waits for a worker reply before declaring it dead.
+#: Seconds the service waits for a live worker's reply before giving up.
 _REQUEST_TIMEOUT_S = 120.0
+#: Longest the facade blocks on a worker before re-checking it is alive.
+_LIVENESS_POLL_S = 0.1
+#: Command kinds that ride the bounded queue and produce no reply.
+_FIRE_AND_FORGET = frozenset({"ingest", "finalize_async", "plane", "bus_ack"})
 
 
 class IngestEvent(NamedTuple):
@@ -116,25 +106,6 @@ class IngestEvent(NamedTuple):
     #: Stamped where the event is created; the shard observes the
     #: ``shard_queue`` stage when it dequeues the event.
     trace: Optional[TraceContext] = None
-
-
-def _shard_tracer(shard_id: int, obs_options: Optional[dict]) -> Tracer:
-    """The observe-only tracer living next to one shard engine.
-
-    Rate 0 — shards never *originate* traces, they only observe contexts
-    that arrive on events — so a service with tracing off pays nothing
-    here beyond the objects' existence.
-    """
-    options = obs_options or {}
-    return Tracer(MetricsRegistry(), sample_rate=0.0,
-                  site=f"shard-{shard_id}",
-                  keep_spans=options.get("keep_spans", True),
-                  max_spans=options.get("max_spans", 10_000))
-
-
-def _queue_wait_reservoir(obs_options: Optional[dict]) -> Reservoir:
-    """The seeded enqueue→dequeue wait sampler of one shard queue."""
-    return Reservoir((obs_options or {}).get("queue_wait_cap", 4096))
 
 
 class ControlUpdate(NamedTuple):
@@ -155,52 +126,283 @@ class ControlUpdate(NamedTuple):
     history_delta: Optional[HistoryDelta] = None
 
 
-def apply_update(engine: StreamEngine, update: ControlUpdate) -> None:
-    """Apply one control update to a quiesced shard engine.
+class ShardCore:
+    """One shard's serving state, driven only by command tuples.
 
-    Weights first — ``load_weights`` validates both state dicts before
-    mutating anything, so a bad snapshot leaves the engine fully on the old
-    weights *and* the old history. ``load_history`` is an infallible
-    reference swap after facade-side validation, so the pair is atomic.
-    A delta-form history is applied to the engine's *current* snapshot;
-    :func:`~repro.history.apply_delta` rejects a base-version mismatch (a
-    gapped, out-of-order or misrouted delta) before the engine repins to
-    anything, so a bad delta leaves the shard fully on its old history and
-    surfaces as this call's exception.
+    Both transports run exactly this object; see the module docstring for
+    the command protocol. ``obs_options`` sizes the tracer's span buffer
+    (``keep_spans``, ``max_spans``) and the queue-wait reservoir
+    (``queue_wait_cap``).
     """
-    if update.weights is not None:
-        engine.load_weights(update.weights["rsrnet"],
-                            update.weights["asdnet"])
-    if update.history is not None:
-        engine.load_history(update.history)
-    elif update.history_delta is not None:
-        engine.load_history(
-            apply_history_delta(engine.history_snapshot,
-                                update.history_delta))
 
+    def __init__(self, shard_id: int, blob: bytes, backend: str,
+                 engine_overrides: Optional[dict] = None,
+                 obs_options: Optional[dict] = None):
+        options = obs_options or {}
+        self.shard_id = shard_id
+        self.backend = backend
+        self.engine = model_from_bytes(blob).stream_engine(
+            **(engine_overrides or {}))
+        self.bus = ShardResultBus(shard_id)
+        # Rate 0: shards never originate traces, they only observe the
+        # contexts that arrive on events.
+        self.tracer = Tracer(MetricsRegistry(), sample_rate=0.0,
+                             site=f"shard-{shard_id}",
+                             keep_spans=options.get("keep_spans", True),
+                             max_spans=options.get("max_spans", 10_000))
+        self.engine.tracer = self.bus.tracer = self.tracer
+        self.queue_wait = Reservoir(options.get("queue_wait_cap", 4096))
+        self.plane = None
+        self.busy_seconds = 0.0
+        self.swaps = 0
+        self._stashed: Optional[Exception] = None
 
-def apply_event(engine: StreamEngine, event: IngestEvent) -> None:
-    """Feed one queued event into a shard's engine."""
-    engine.ingest(event.vehicle_id, event.segment,
-                  destination=event.destination,
-                  start_time_s=event.start_time_s,
-                  trajectory_id=event.trajectory_id,
-                  trace=event.trace)
+    def tick(self) -> int:
+        """One batched engine tick on the busy clock; returns points labeled."""
+        started = time.perf_counter()
+        advanced = self.engine.tick()
+        self.busy_seconds += time.perf_counter() - started
+        return advanced
+
+    def handle(self, command: tuple) -> Optional[tuple]:
+        """Execute one command; returns its reply, ``None`` if fire-and-forget."""
+        kind = command[0]
+        started = time.perf_counter()
+        try:
+            if kind in _FIRE_AND_FORGET:
+                self.queue_wait.add(started - command[2])
+                try:
+                    getattr(self, "_on_" + kind)(command[1])
+                except Exception as error:
+                    if self._stashed is None:
+                        self._stashed = error
+                return None
+            if self._stashed is not None:
+                error, self._stashed = self._stashed, None
+                return "error", error
+            handler = getattr(self, "_on_" + kind, None)
+            if handler is None:
+                return "error", ServiceError(f"unknown command {kind!r}")
+            try:
+                return kind, handler(command[1])
+            except Exception as error:
+                return "error", error
+        finally:
+            self.busy_seconds += time.perf_counter() - started
+
+    # -------------------------------------------------- fire-and-forget
+    def _on_ingest(self, events: Sequence[IngestEvent]) -> None:
+        ingest = self.engine.ingest
+        for event in events:
+            trace = event.trace
+            if trace is not None:
+                trace = self.tracer.observe("shard_queue", trace,
+                                            obs_timestamp())
+            ingest(event.vehicle_id, event.segment,
+                   destination=event.destination,
+                   start_time_s=event.start_time_s,
+                   trajectory_id=event.trajectory_id, trace=trace)
+
+    def _on_finalize_async(self, vehicle_ids: Sequence[Hashable]) -> None:
+        try:
+            results = self.engine.finalize_many(vehicle_ids)
+        except Exception as error:
+            self.bus.publish("error", tuple(vehicle_ids), error)
+            return
+        traced = self.engine.pop_finalize_traced()
+        now = obs_timestamp()
+        for vehicle_id, result in zip(vehicle_ids, results):
+            trace_id = traced.get(vehicle_id)
+            self.bus.publish(
+                "result", vehicle_id, result,
+                None if trace_id is None else TraceContext(trace_id, now))
+
+    def _on_plane(self, commands: Sequence) -> None:
+        plane = self._require_plane()
+        for command in commands:
+            plane.handle(command)
+
+    def _on_bus_ack(self, up_to_seq: int) -> None:
+        self.bus.ack(up_to_seq)
+
+    # ---------------------------------------------------------- replied
+    def _on_sync(self, _) -> None:
+        while self.engine.tick() > 0:
+            pass
+
+    def _on_finalize(self, vehicle_ids: Sequence[Hashable]
+                     ) -> List[DetectionResult]:
+        try:
+            return self.engine.finalize_many(vehicle_ids)
+        finally:
+            # Synchronous results never ride the bus, so their traces end
+            # here — lest a later async finalize of a reused vehicle id
+            # stamps a stale one.
+            self.engine.pop_finalize_traced()
+
+    def _on_swap(self, blob: bytes) -> None:
+        # Nothing is loaded until both halves are known good: ``apply_delta``
+        # rejects a base-version mismatch and ``load_weights`` validates both
+        # state dicts before mutating, so a bad update leaves the shard
+        # wholly on its old weights and history.
+        update: ControlUpdate = pickle.loads(blob)
+        self._on_sync(None)
+        engine = self.engine
+        history = update.history
+        if update.history_delta is not None:
+            history = apply_delta(engine.history_snapshot,
+                                  update.history_delta)
+        if update.weights is not None:
+            engine.load_weights(update.weights["rsrnet"],
+                                update.weights["asdnet"])
+            self.swaps += 1
+        if history is not None:
+            engine.load_history(history)
+
+    def _on_stats(self, queue_depth: int) -> ShardStats:
+        engine = self.engine
+        return ShardStats(
+            shard_id=self.shard_id,
+            backend=self.backend,
+            points_processed=engine.points_processed,
+            ticks=engine.ticks,
+            busy_seconds=self.busy_seconds,
+            queue_depth=queue_depth,
+            pending_points=engine.total_pending_points(),
+            streams_open=len(engine.active_vehicles),
+            streams_finalized=engine.streams_finalized,
+            cache_hits=engine.cache.hits,
+            cache_misses=engine.cache.misses,
+            swaps=self.swaps,
+            history_version=engine.history_version,
+            history_refreshes=engine.history_refreshes,
+            queue_wait_samples=list(self.queue_wait.samples),
+        )
+
+    def _on_bus_replay(self, _) -> int:
+        return self.bus.replay()
+
+    def _on_bus_stats(self, _) -> BusStats:
+        return self.bus.stats()
+
+    def _on_obs(self, _) -> tuple:
+        return self.tracer.registry, self.tracer.take_spans()
+
+    def _on_install_plane(self, factory) -> None:
+        self.plane = factory(self.shard_id, self.engine)
+        if hasattr(self.plane, "bind_bus"):
+            self.plane.bind_bus(self.bus.publish)
+
+    def _on_plane_request(self, command):
+        return self._require_plane().request(command)
+
+    def _on_plane_stats(self, _):
+        return self._require_plane().stats()
+
+    def _require_plane(self):
+        if self.plane is None:
+            raise ServiceError(f"no plane installed on shard {self.shard_id}")
+        return self.plane
 
 
 class ServiceBackend:
-    """Interface both shard backends implement (see module docstring)."""
+    """The shard API, written once over a transport's delivery primitives.
+
+    A transport implements :meth:`_put` (bounded, non-blocking enqueue of a
+    fire-and-forget command), :meth:`_post` / :meth:`_receive` (deliver a
+    replied command, read its reply), :meth:`_take_bus`, :meth:`_depth`,
+    :meth:`pump` and :meth:`close`.
+    """
 
     name = "abstract"
 
+    def __init__(self, num_shards: int):
+        self._num_shards = num_shards
+        self._ack_wanted = [0] * num_shards  # highest watermark to ack
+        self._ack_sent = [0] * num_shards    # highest watermark enqueued
+
     @property
     def num_shards(self) -> int:
+        return self._num_shards
+
+    # ------------------------------------------------- transport primitives
+    def _put(self, shard: int, command: tuple) -> bool:
         raise NotImplementedError
 
-    def ingest(self, shard: int, event: IngestEvent) -> bool:
-        """Queue one event to a shard; ``False`` means the queue is full."""
+    def _post(self, shard: int, command: tuple) -> None:
         raise NotImplementedError
 
+    def _receive(self, shard: int) -> tuple:
+        raise NotImplementedError
+
+    def _take_bus(self, shard: int,
+                  max_items: Optional[int]) -> List[ResultEnvelope]:
+        raise NotImplementedError
+
+    def _depth(self, shard: int) -> int:
+        raise NotImplementedError
+
+    def pump(self) -> int:
+        """Advance queued work opportunistically; returns points labeled.
+
+        The process backend's workers advance themselves, so its ``pump`` is
+        a no-op returning 0.
+        """
+        raise NotImplementedError
+
+    def close(self) -> None:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------ delivery
+    def _send(self, shard: int, kind: str, payload) -> bool:
+        """Queue one fire-and-forget command; ``False`` if the queue is full."""
+        return self._put(shard, (kind, payload, obs_timestamp()))
+
+    def _answer(self, shard: int, kind: str):
+        reply_kind, payload = self._receive(shard)
+        if reply_kind == "error":
+            raise payload
+        if reply_kind != kind:  # pragma: no cover - protocol bug guard
+            raise ServiceError(
+                f"shard {shard} answered {reply_kind!r} to {kind!r}")
+        return payload
+
+    def _request(self, shard: int, kind: str, payload=None):
+        """Send one replied command and return its (only) reply's payload."""
+        self._post(shard, (kind, payload))
+        return self._answer(shard, kind)
+
+    def _broadcast(self, kind: str, payloads: Optional[Sequence] = None
+                   ) -> list:
+        """One replied command per shard, all sent before any reply is read.
+
+        Every reply is consumed before the first error is raised — an
+        unread reply would answer that shard's *next* request.
+        """
+        if payloads is None:
+            payloads = [None] * self._num_shards
+        errors: List[Optional[Exception]] = []
+        for shard, payload in enumerate(payloads):
+            try:
+                self._post(shard, (kind, payload))
+                errors.append(None)
+            except Exception as error:
+                errors.append(error)
+        answers = []
+        for shard in range(self._num_shards):
+            if errors[shard] is None:
+                try:
+                    answers.append(self._answer(shard, kind))
+                    continue
+                except Exception as error:
+                    errors[shard] = error
+            answers.append(None)
+        for error in errors:
+            if error is not None:
+                raise error
+        return answers
+
+    # -------------------------------------------------------------- ingest
     def ingest_batch(self, shard: int, events: Sequence[IngestEvent]) -> bool:
         """Queue several events to a shard as one command, all-or-nothing.
 
@@ -212,15 +414,7 @@ class ServiceBackend:
         ingest_batch`) to keep worst-case buffering proportional.
         ``False`` means the shard queue is full and *nothing* was queued.
         """
-        raise NotImplementedError
-
-    def pump(self) -> int:
-        """Advance queued work opportunistically; returns points labeled.
-
-        The process backend's workers advance themselves, so its ``pump`` is
-        a no-op returning 0.
-        """
-        raise NotImplementedError
+        return self._send(shard, "ingest", list(events))
 
     def drain(self) -> None:
         """Block until every queued event is applied and no point is eligible.
@@ -229,25 +423,22 @@ class ServiceBackend:
         — those are only labelable at finalize — so "drained" means *no shard
         can make progress*, not "no state is pending".
         """
-        raise NotImplementedError
+        self._broadcast("sync")
 
     def finalize(self, shard: int,
                  vehicle_ids: Sequence[Hashable]) -> List[DetectionResult]:
-        raise NotImplementedError
+        return self._request(shard, "finalize", list(vehicle_ids))
 
     # ------------------------------------------------------------ results bus
     def finalize_async(self, shard: int,
                        vehicle_ids: Sequence[Hashable]) -> bool:
         """Queue a fire-and-forget finalize; results arrive over the bus.
 
-        One command (one queue slot / one IPC put) per per-shard batch,
-        like :meth:`ingest_batch` — ``False`` means the shard queue is full
-        and nothing was queued. The shard publishes one ``"result"``
-        envelope per vehicle (input order) or a single ``"error"`` envelope
-        for the whole batch to its :class:`~repro.serve.resultbus.
-        ShardResultBus`.
+        One command (one queue slot) per per-shard batch, like
+        :meth:`ingest_batch` — ``False`` means the shard queue is full and
+        nothing was queued.
         """
-        raise NotImplementedError
+        return self._send(shard, "finalize_async", list(vehicle_ids))
 
     def take_results(self,
                      max_items: Optional[int] = None) -> List[ResultEnvelope]:
@@ -258,17 +449,31 @@ class ServiceBackend:
         BusCollector`. ``max_items`` is a soft bound (whole batches are
         taken).
         """
-        raise NotImplementedError
+        envelopes: List[ResultEnvelope] = []
+        for shard in range(self._num_shards):
+            self._send_ack(shard)  # retry an ack an earlier full queue refused
+            budget = None if max_items is None else max_items - len(envelopes)
+            if budget is None or budget > 0:
+                envelopes.extend(self._take_bus(shard, budget))
+        return envelopes
 
     def ack_results(self, shard: int, up_to_seq: int) -> None:
         """Acknowledge one shard's envelopes up to a sequence watermark.
 
-        Best-effort and fire-and-forget: an ack that cannot be sent right
+        Best-effort and fire-and-forget: an ack that cannot be queued right
         now (full command queue) is retried on the next
         :meth:`take_results`; until then the shard just retains a slightly
         longer unacked window.
         """
-        raise NotImplementedError
+        if up_to_seq > self._ack_wanted[shard]:
+            self._ack_wanted[shard] = up_to_seq
+        self._send_ack(shard)
+
+    def _send_ack(self, shard: int) -> None:
+        wanted = self._ack_wanted[shard]
+        if wanted > self._ack_sent[shard] and self._send(shard, "bus_ack",
+                                                         wanted):
+            self._ack_sent[shard] = wanted
 
     def replay_results(self) -> int:
         """Re-queue every shard's unacked window; returns envelopes re-queued.
@@ -277,19 +482,24 @@ class ServiceBackend:
         after this, :meth:`take_results` redelivers everything not yet
         acknowledged (subscribers drop what they already accepted).
         """
-        raise NotImplementedError
+        return sum(self._broadcast("bus_replay"))
 
     def bus_stats(self) -> List[BusStats]:
         """Every shard bus's counters, in shard order."""
-        raise NotImplementedError
+        return self._broadcast("bus_stats")
 
+    # ---------------------------------------------------------- control
     def swap(self, update: ControlUpdate) -> None:
-        raise NotImplementedError
+        # Pickled once for the whole broadcast: a multiprocessing queue
+        # would otherwise re-pickle the payload per shard.
+        self._broadcast("swap", [pickle.dumps(
+            update, protocol=pickle.HIGHEST_PROTOCOL)] * self._num_shards)
 
     def stats(self) -> List[ShardStats]:
-        raise NotImplementedError
+        """Every shard's snapshot; queue depth is read when it is asked for."""
+        return self._broadcast(
+            "stats", [self._depth(shard) for shard in range(self._num_shards)])
 
-    # -------------------------------------------------------- observability
     def obs_snapshot(self) -> List[tuple]:
         """Every shard's ``(registry, spans)``, in shard order.
 
@@ -298,556 +508,125 @@ class ServiceBackend:
         *drained* — each recorded span is returned exactly once across
         repeated calls.
         """
-        raise NotImplementedError
+        return self._broadcast("obs")
 
     # ----------------------------------------------------------- work planes
     def install_plane(self, factory) -> None:
         """Build one plane per shard: ``factory(shard_id, engine) -> plane``.
 
-        The factory must be picklable for the process backend (each worker
-        calls it beside its own engine). See the module docstring for the
-        plane contract.
+        Replied per shard, so a factory that cannot be rebuilt in a worker
+        fails loudly here, not at the first routed command.
         """
-        raise NotImplementedError
-
-    def plane_send(self, shard: int, command) -> bool:
-        """Route one fire-and-forget command to a shard's plane.
-
-        ``False`` means the shard's queue is full and nothing was sent (the
-        in-process backend executes synchronously and never refuses).
-        """
-        raise NotImplementedError
+        self._broadcast("install_plane", [factory] * self._num_shards)
 
     def plane_send_batch(self, shard: int, commands: Sequence) -> bool:
-        """Several plane commands as one queued command, all-or-nothing."""
-        raise NotImplementedError
+        """Queue plane commands as one fire-and-forget command, all-or-nothing.
+
+        ``False`` means the shard's queue is full and nothing was queued.
+        """
+        return self._send(shard, "plane", list(commands))
 
     def plane_request(self, shard: int, command):
         """Send one replied command to a shard's plane, return its answer."""
-        raise NotImplementedError
+        return self._request(shard, "plane_request", command)
 
     def plane_stats(self) -> List:
         """Every shard plane's ``stats()`` snapshot, in shard order."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
+        return self._broadcast("plane_stats")
 
 
 # --------------------------------------------------------------- in-process
-class _InProcessShard:
-    def __init__(self, shard_id: int, engine: StreamEngine, queue_depth: int,
-                 obs_options: Optional[dict] = None):
-        self.shard_id = shard_id
-        self.engine = engine
-        self.queue_depth = queue_depth
-        # IngestEvent entries interleaved with ("finalize_async", ids)
-        # markers — FIFO, so an async finalize sees exactly the points
-        # queued before it, like the worker protocol's command order.
-        self.queue: Deque = deque()
-        self.bus = ShardResultBus(shard_id)
-        self.busy_seconds = 0.0
-        self.swaps = 0
-        self.plane = None
-        self.tracer = _shard_tracer(shard_id, obs_options)
-        self.engine.tracer = self.tracer
-        self.bus.tracer = self.tracer
-        self.queue_wait = _queue_wait_reservoir(obs_options)
-        # Queue-wait marks live *beside* the queue (never in it — the
-        # queue's length is the backpressure signal and must count only
-        # real commands): each enqueue appends (cumulative items enqueued,
-        # timestamp); dispatch fires a mark once it has popped that many.
-        self._wait_marks: Deque = deque()
-        self._enqueued = 0
-        self._dispatched = 0
-
-    def note_enqueue(self, items: int) -> None:
-        if items <= 0:
-            return
-        self._enqueued += items
-        self._wait_marks.append((self._enqueued, obs_timestamp()))
-
-    def dispatch(self) -> None:
-        """Apply every queued event to the engine (cheap: just buffering)."""
-        started = time.perf_counter()
-        queue = self.queue
-        engine = self.engine
-        marks = self._wait_marks
-        while queue:
-            item = queue.popleft()
-            if item.__class__ is IngestEvent:
-                trace = item.trace
-                if trace is None:
-                    engine.ingest(item.vehicle_id, item.segment,
-                                  destination=item.destination,
-                                  start_time_s=item.start_time_s,
-                                  trajectory_id=item.trajectory_id)
-                else:
-                    trace = self.tracer.observe("shard_queue", trace,
-                                                obs_timestamp())
-                    engine.ingest(item.vehicle_id, item.segment,
-                                  destination=item.destination,
-                                  start_time_s=item.start_time_s,
-                                  trajectory_id=item.trajectory_id,
-                                  trace=trace)
-            else:
-                self._finalize_to_bus(item[1])
-            self._dispatched += 1
-            while marks and marks[0][0] <= self._dispatched:
-                _, enqueue_t = marks.popleft()
-                self.queue_wait.add(obs_timestamp() - enqueue_t)
-        self.busy_seconds += time.perf_counter() - started
-
-    def _finalize_to_bus(self, vehicle_ids: Sequence[Hashable]) -> None:
-        """Run one queued async finalize; publish results (or the error)."""
-        try:
-            results = self.engine.finalize_many(vehicle_ids)
-        except BaseException as error:
-            self.bus.publish("error", tuple(vehicle_ids), error)
-            return
-        traced = self.engine.pop_finalize_traced()
-        if not traced:
-            for vehicle_id, result in zip(vehicle_ids, results):
-                self.bus.publish("result", vehicle_id, result)
-            return
-        now = obs_timestamp()
-        for vehicle_id, result in zip(vehicle_ids, results):
-            trace_id = traced.get(vehicle_id)
-            self.bus.publish(
-                "result", vehicle_id, result,
-                None if trace_id is None else TraceContext(trace_id, now))
-
-    def tick(self) -> int:
-        started = time.perf_counter()
-        advanced = self.engine.tick()
-        self.busy_seconds += time.perf_counter() - started
-        return advanced
-
-
 class InProcessBackend(ServiceBackend):
-    """All shards in the calling process; deterministic, pump-driven."""
+    """All shard cores in the calling process; deterministic, pump-driven."""
 
     name = "inprocess"
 
-    def __init__(self, model, num_shards: int, queue_depth: int,
+    def __init__(self, blob: bytes, num_shards: int, queue_depth: int,
                  engine_overrides: Optional[dict] = None,
                  obs_options: Optional[dict] = None):
-        overrides = dict(engine_overrides or {})
-        self._shards = [
-            _InProcessShard(shard_id, model.stream_engine(**overrides),
-                            queue_depth, obs_options)
-            for shard_id in range(num_shards)
-        ]
+        super().__init__(num_shards)
+        self._queue_depth = queue_depth
+        self._queues = [deque() for _ in range(num_shards)]
+        self._cores = [ShardCore(shard, blob, self.name, engine_overrides,
+                                 obs_options) for shard in range(num_shards)]
+        self._replies: List[Optional[tuple]] = [None] * num_shards
 
-    @property
-    def num_shards(self) -> int:
-        return len(self._shards)
-
-    def ingest(self, shard: int, event: IngestEvent) -> bool:
-        state = self._shards[shard]
-        if len(state.queue) >= state.queue_depth:
+    def _put(self, shard: int, command: tuple) -> bool:
+        queue = self._queues[shard]
+        if len(queue) >= self._queue_depth:
             return False
-        state.queue.append(event)
-        state.note_enqueue(1)
+        queue.append(command)
         return True
 
-    def ingest_batch(self, shard: int, events: Sequence[IngestEvent]) -> bool:
-        # Mirror the process backend's accounting: the depth bound counts
-        # commands, and a batch is one command (here: one free slot admits
-        # the whole batch).
-        state = self._shards[shard]
-        if len(state.queue) >= state.queue_depth:
-            return False
-        state.queue.extend(events)
-        state.note_enqueue(len(events))
-        return True
+    def _dispatch(self, shard: int) -> None:
+        queue, handle = self._queues[shard], self._cores[shard].handle
+        while queue:
+            handle(queue.popleft())
+
+    def _post(self, shard: int, command: tuple) -> None:
+        # FIFO: everything queued before a replied command runs first.
+        self._dispatch(shard)
+        self._replies[shard] = self._cores[shard].handle(command)
+
+    def _receive(self, shard: int) -> tuple:
+        reply, self._replies[shard] = self._replies[shard], None
+        return reply
+
+    def _take_bus(self, shard: int,
+                  max_items: Optional[int]) -> List[ResultEnvelope]:
+        bus = self._cores[shard].bus
+        return bus.take(max_items) if bus.depth else []
+
+    def _depth(self, shard: int) -> int:
+        return len(self._queues[shard])
 
     def pump(self) -> int:
         advanced = 0
-        for state in self._shards:
-            state.dispatch()
-            advanced += state.tick()
+        for shard, core in enumerate(self._cores):
+            self._dispatch(shard)
+            advanced += core.tick()
         return advanced
 
-    def drain(self) -> None:
-        while self.pump() > 0:
-            pass
-
-    def finalize(self, shard: int,
-                 vehicle_ids: Sequence[Hashable]) -> List[DetectionResult]:
-        state = self._shards[shard]
-        state.dispatch()
-        started = time.perf_counter()
-        try:
-            return state.engine.finalize_many(vehicle_ids)
-        finally:
-            state.busy_seconds += time.perf_counter() - started
-            # Synchronous results never ride the bus, so their finalize
-            # traces end here — drain them lest a later async finalize of
-            # a reused vehicle id stamps a stale trace.
-            state.engine.pop_finalize_traced()
-
-    # ------------------------------------------------------------ results bus
-    def finalize_async(self, shard: int,
-                       vehicle_ids: Sequence[Hashable]) -> bool:
-        state = self._shards[shard]
-        if len(state.queue) >= state.queue_depth:
-            return False
-        state.queue.append(("finalize_async", list(vehicle_ids)))
-        state.note_enqueue(1)
-        return True
-
-    def take_results(self,
-                     max_items: Optional[int] = None) -> List[ResultEnvelope]:
-        envelopes: List[ResultEnvelope] = []
-        for state in self._shards:
-            if state.bus.depth:
-                budget = (None if max_items is None
-                          else max_items - len(envelopes))
-                if budget is not None and budget <= 0:
-                    break
-                envelopes.extend(state.bus.take(budget))
-        return envelopes
-
-    def ack_results(self, shard: int, up_to_seq: int) -> None:
-        self._shards[shard].bus.ack(up_to_seq)
-
-    def replay_results(self) -> int:
-        return sum(state.bus.replay() for state in self._shards)
-
-    def bus_stats(self) -> List[BusStats]:
-        return [state.bus.stats() for state in self._shards]
-
-    def swap(self, update: ControlUpdate) -> None:
-        # Quiesce first so every point already accepted is labeled by the old
-        # weights/history — the same boundary the process backend's FIFO
-        # guarantees. The history snapshot is cloned once for the whole
-        # backend: in-process shard engines share a single pipeline (they
-        # were built from one clone_model), so one clone both isolates the
-        # backend from the caller's live snapshot (whose memo caches would
-        # otherwise leak into serving, and vice versa) and keeps every
-        # shard on the same object, exactly like at construction.
-        # A delta-form update gets the same isolation per shard: each shard
-        # applies its own clone of the delta to the snapshot it currently
-        # serves (they all read it *before* anyone repins, since the shared
-        # pipeline means the first repin changes every engine's current
-        # snapshot) — so the caller's trajectory objects riding in the
-        # delta never alias serving state, and a base-version mismatch is
-        # rejected before any engine has repinned.
-        self.drain()
-        if update.history is not None:
-            update = update._replace(history=clone_snapshot(update.history))
-        successors: Optional[List[HistorySnapshot]] = None
-        if update.history_delta is not None:
-            successors = [
-                apply_history_delta(state.engine.history_snapshot,
-                                    clone_delta(update.history_delta))
-                for state in self._shards]
-            update = update._replace(history_delta=None)
-        for index, state in enumerate(self._shards):
-            shard_update = (update if successors is None
-                            else update._replace(history=successors[index]))
-            apply_update(state.engine, shard_update)
-            if update.weights is not None:
-                state.swaps += 1
-
-    def stats(self) -> List[ShardStats]:
-        snapshots = []
-        for state in self._shards:
-            engine = state.engine
-            snapshots.append(ShardStats(
-                shard_id=state.shard_id,
-                backend=self.name,
-                points_processed=engine.points_processed,
-                ticks=engine.ticks,
-                busy_seconds=state.busy_seconds,
-                queue_depth=len(state.queue),
-                pending_points=engine.total_pending_points(),
-                streams_open=len(engine.active_vehicles),
-                streams_finalized=engine.streams_finalized,
-                cache_hits=engine.cache.hits,
-                cache_misses=engine.cache.misses,
-                swaps=state.swaps,
-                history_version=engine.history_version,
-                history_refreshes=engine.history_refreshes,
-                queue_wait_samples=list(state.queue_wait.samples),
-            ))
-        return snapshots
-
-    # -------------------------------------------------------- observability
-    def obs_snapshot(self) -> List[tuple]:
-        return [(state.tracer.registry, state.tracer.take_spans())
-                for state in self._shards]
-
-    # ----------------------------------------------------------- work planes
-    def install_plane(self, factory) -> None:
-        for state in self._shards:
-            state.plane = factory(state.shard_id, state.engine)
-            if hasattr(state.plane, "bind_bus"):
-                state.plane.bind_bus(state.bus.publish)
-
-    def _plane(self, shard: int):
-        plane = self._shards[shard].plane
-        if plane is None:
-            raise ServiceError(f"no plane installed on shard {shard}")
-        return plane
-
-    def plane_send(self, shard: int, command) -> bool:
-        # The in-process backend has no worker to defer to: the command runs
-        # right here (on the shard's busy clock) and can never be refused.
-        state = self._shards[shard]
-        plane = self._plane(shard)
-        started = time.perf_counter()
-        try:
-            plane.handle(command)
-        finally:
-            state.busy_seconds += time.perf_counter() - started
-        return True
-
-    def plane_send_batch(self, shard: int, commands: Sequence) -> bool:
-        state = self._shards[shard]
-        plane = self._plane(shard)
-        started = time.perf_counter()
-        try:
-            for command in commands:
-                plane.handle(command)
-        finally:
-            state.busy_seconds += time.perf_counter() - started
-        return True
-
-    def plane_request(self, shard: int, command):
-        state = self._shards[shard]
-        plane = self._plane(shard)
-        started = time.perf_counter()
-        try:
-            return plane.request(command)
-        finally:
-            state.busy_seconds += time.perf_counter() - started
-
-    def plane_stats(self) -> List:
-        return [self._plane(shard).stats()
-                for shard in range(len(self._shards))]
-
     def close(self) -> None:
-        self._shards = []
+        self._queues, self._cores = [], []
 
 
 # ------------------------------------------------------------ multi-process
 def _shard_worker(shard_id: int, blob: bytes, engine_overrides: dict,
                   commands, results, bus_queue,
                   obs_options: Optional[dict] = None) -> None:
-    """Worker main loop: rebuild the model from its pickled snapshot, then
-    serve commands forever (see the module docstring for the protocol)."""
-    model = model_from_bytes(blob)
-    engine = model.stream_engine(**engine_overrides)
-    bus = ShardResultBus(shard_id)
+    """Worker main loop: serve one :class:`ShardCore` until ``stop``."""
+    core = ShardCore(shard_id, blob, "process", engine_overrides, obs_options)
     # Unflushed bus batches must never block this process's exit (the
     # facade stops reading at close; whatever is still buffered then is as
     # lost as any other in-flight work).
     bus_queue.cancel_join_thread()
-    busy_seconds = 0.0
-    swaps = 0
-    plane = None
-    pending_error: Optional[BaseException] = None
-    tracer = _shard_tracer(shard_id, obs_options)
-    engine.tracer = tracer
-    bus.tracer = tracer
-    queue_wait = _queue_wait_reservoir(obs_options)
 
     def flush_bus() -> None:
         """Ship the outbox toward the facade: one message per batch."""
-        if bus.depth:
-            bus_queue.put(bus.take())
+        if core.bus.depth:
+            bus_queue.put(core.bus.take())
 
-    def timed_tick() -> int:
-        nonlocal busy_seconds
-        started = time.perf_counter()
-        advanced = engine.tick()
-        busy_seconds += time.perf_counter() - started
-        return advanced
-
-    def quiesce() -> None:
-        while timed_tick() > 0:
-            pass
-
-    def reply(kind: str, payload=None) -> None:
-        results.put((kind, payload))
-
-    def answer(command) -> bool:
-        """Handle one command; returns False when the worker must stop.
-
-        An error stashed by an earlier fire-and-forget ``ingest`` preempts
-        the reply of the next replied command, so failures surface at the
-        caller instead of silently desynchronizing the shard.
-        """
-        nonlocal busy_seconds, swaps, plane, pending_error
-        kind = command[0]
-        if kind == "stop":
+    def serve(command) -> bool:
+        if command[0] == "stop":
             flush_bus()
-            reply("stopped")
             return False
-        if kind == "finalize_async":
-            started = time.perf_counter()
-            try:
-                value = engine.finalize_many(command[1])
-            except BaseException as error:
-                bus.publish("error", tuple(command[1]), error)
-            else:
-                traced = engine.pop_finalize_traced()
-                if not traced:
-                    for vehicle_id, result in zip(command[1], value):
-                        bus.publish("result", vehicle_id, result)
-                else:
-                    now = obs_timestamp()
-                    for vehicle_id, result in zip(command[1], value):
-                        trace_id = traced.get(vehicle_id)
-                        bus.publish(
-                            "result", vehicle_id, result,
-                            None if trace_id is None
-                            else TraceContext(trace_id, now))
-            busy_seconds += time.perf_counter() - started
-            return True
-        if kind == "bus_ack":
-            bus.ack(command[1])
-            return True
-        if kind == "ingest":
-            started = time.perf_counter()
-            if len(command) > 2:  # enqueue timestamp (same monotonic clock)
-                queue_wait.add(started - command[2])
-            try:
-                event = command[1]
-                if event.trace is not None:
-                    event = event._replace(trace=tracer.observe(
-                        "shard_queue", event.trace, started))
-                apply_event(engine, event)
-            except BaseException as error:  # surfaced at the next request
-                pending_error = error
-            busy_seconds += time.perf_counter() - started
-            return True
-        if kind == "ingest_batch":
-            started = time.perf_counter()
-            if len(command) > 2:
-                queue_wait.add(started - command[2])
-            try:
-                for event in command[1]:
-                    if event.trace is not None:
-                        event = event._replace(trace=tracer.observe(
-                            "shard_queue", event.trace, started))
-                    apply_event(engine, event)
-            except BaseException as error:  # surfaced at the next request
-                pending_error = error
-            busy_seconds += time.perf_counter() - started
-            return True
-        if kind == "plane":
-            started = time.perf_counter()
-            try:
-                if plane is None:
-                    raise ServiceError("no plane installed on this shard")
-                plane.handle(command[1])
-            except BaseException as error:  # surfaced at the next request
-                pending_error = error
-            busy_seconds += time.perf_counter() - started
-            return True
-        if kind == "plane_batch":
-            started = time.perf_counter()
-            try:
-                if plane is None:
-                    raise ServiceError("no plane installed on this shard")
-                for item in command[1]:
-                    plane.handle(item)
-            except BaseException as error:  # surfaced at the next request
-                pending_error = error
-            busy_seconds += time.perf_counter() - started
-            return True
-        if pending_error is not None:
-            error, pending_error = pending_error, None
-            reply("error", error)
-            return True
-        try:
-            if kind == "sync":
-                quiesce()
-                reply("synced")
-            elif kind == "finalize":
-                started = time.perf_counter()
-                value = engine.finalize_many(command[1])
-                busy_seconds += time.perf_counter() - started
-                engine.pop_finalize_traced()  # sync results skip the bus
-                reply("finalized", value)
-            elif kind == "swap":
-                quiesce()
-                update = command[1]
-                if isinstance(update, bytes):
-                    # The facade pre-pickled the update once for the whole
-                    # broadcast (a delta or a full snapshot alike); each
-                    # worker unpickles its own copy, which doubles as the
-                    # per-shard isolation the in-process backend gets from
-                    # clone_snapshot/clone_delta.
-                    update = pickle.loads(update)
-                apply_update(engine, update)
-                if update.weights is not None:
-                    swaps += 1
-                reply("swapped")
-            elif kind == "install_plane":
-                plane = command[1](shard_id, engine)
-                if hasattr(plane, "bind_bus"):
-                    plane.bind_bus(bus.publish)
-                reply("plane_installed")
-            elif kind == "bus_replay":
-                reply("bus_replayed", bus.replay())
-            elif kind == "bus_stats":
-                reply("bus_stats", bus.stats())
-            elif kind == "obs":
-                # Registry rides home by pickle (cumulative — the facade
-                # merges into a fresh registry per call); spans drain.
-                reply("obs", (tracer.registry, tracer.take_spans()))
-            elif kind == "plane_request":
-                if plane is None:
-                    raise ServiceError("no plane installed on this shard")
-                started = time.perf_counter()
-                value = plane.request(command[1])
-                busy_seconds += time.perf_counter() - started
-                reply("plane_reply", value)
-            elif kind == "plane_stats":
-                if plane is None:
-                    raise ServiceError("no plane installed on this shard")
-                reply("plane_stats", plane.stats())
-            elif kind == "stats":
-                reply("stats", ShardStats(
-                    shard_id=shard_id,
-                    backend="process",
-                    points_processed=engine.points_processed,
-                    ticks=engine.ticks,
-                    busy_seconds=busy_seconds,
-                    queue_depth=_safe_qsize(commands),
-                    pending_points=engine.total_pending_points(),
-                    streams_open=len(engine.active_vehicles),
-                    streams_finalized=engine.streams_finalized,
-                    cache_hits=engine.cache.hits,
-                    cache_misses=engine.cache.misses,
-                    swaps=swaps,
-                    history_version=engine.history_version,
-                    history_refreshes=engine.history_refreshes,
-                    queue_wait_samples=list(queue_wait.samples),
-                ))
-            else:
-                reply("error", ServiceError(f"unknown command {kind!r}"))
-        except BaseException as error:
-            reply("error", error)
+        reply = core.handle(command)
+        if reply is not None:
+            results.put(reply)
         return True
 
-    running = True
-    while running:
+    while True:
         handled = 0
-        while running:
+        while True:
             try:
                 command = commands.get_nowait()
             except queue_module.Empty:
                 break
             handled += 1
-            running = answer(command)
-        if not running:
-            break
-        advanced = timed_tick()
+            if not serve(command):
+                return
+        advanced = core.tick()
         flush_bus()
         if handled == 0 and advanced == 0:
             # Fully idle: block (briefly) instead of spinning.
@@ -855,19 +634,13 @@ def _shard_worker(shard_id: int, blob: bytes, engine_overrides: dict,
                 command = commands.get(timeout=_IDLE_WAIT_S)
             except queue_module.Empty:
                 continue
-            running = answer(command)
-
-
-def _safe_qsize(q) -> int:
-    try:
-        return q.qsize()
-    except NotImplementedError:  # pragma: no cover - macOS
-        return 0
+            if not serve(command):
+                return
 
 
 class _ProcessShard:
     def __init__(self, shard_id: int, context, blob: bytes,
-                 engine_overrides: dict, queue_depth: int,
+                 engine_overrides: Optional[dict], queue_depth: int,
                  obs_options: Optional[dict] = None):
         self.shard_id = shard_id
         self.commands = context.Queue(maxsize=queue_depth)
@@ -876,8 +649,6 @@ class _ProcessShard:
         # message each. Deliberately separate from `results`, whose strict
         # one-reply-per-request pairing pushed publications would desync.
         self.bus = context.Queue()
-        self.pending_ack = 0   # highest watermark the facade wants acked
-        self.sent_ack = 0      # highest watermark actually sent to the worker
         self.process = context.Process(
             target=_shard_worker,
             args=(shard_id, blob, engine_overrides, self.commands,
@@ -889,7 +660,7 @@ class _ProcessShard:
 
 
 class ProcessBackend(ServiceBackend):
-    """One OS process per shard, spawned from a pickled model snapshot."""
+    """One OS process per shard core, spawned from a pickled model blob."""
 
     name = "process"
 
@@ -900,188 +671,86 @@ class ProcessBackend(ServiceBackend):
                  obs_options: Optional[dict] = None):
         import multiprocessing
 
+        super().__init__(num_shards)
         context = multiprocessing.get_context(start_method)
         self._request_timeout_s = request_timeout_s
         self._shards = [
-            _ProcessShard(shard_id, context, blob, dict(engine_overrides or {}),
+            _ProcessShard(shard_id, context, blob, engine_overrides,
                           queue_depth, obs_options)
             for shard_id in range(num_shards)
         ]
         self._closed = False
 
-    @property
-    def num_shards(self) -> int:
-        return len(self._shards)
-
-    def _request(self, shard: "_ProcessShard", command: tuple, expect: str):
-        """Send one replied command and wait for its (only) reply."""
+    def _live(self, shard: int) -> _ProcessShard:
+        """The shard's handles; raises if the service or the worker is gone."""
         if self._closed:
             raise ServiceError("the detection service is closed")
-        if not shard.process.is_alive():
+        state = self._shards[shard]
+        if not state.process.is_alive():
             raise ServiceError(
-                f"shard {shard.shard_id} worker died; the service must be "
-                "rebuilt (in-flight streams of that shard are lost)")
-        shard.commands.put(command)
-        try:
-            kind, payload = shard.results.get(timeout=self._request_timeout_s)
-        except queue_module.Empty:
-            raise ServiceError(
-                f"shard {shard.shard_id} did not answer a {command[0]!r} "
-                f"request within {self._request_timeout_s:.0f}s") from None
-        if kind == "error":
-            raise payload
-        if kind != expect:  # pragma: no cover - protocol bug guard
-            raise ServiceError(
-                f"shard {shard.shard_id} answered {kind!r} to {command[0]!r}")
-        return payload
+                f"shard {shard} worker died (exit code "
+                f"{state.process.exitcode}); the service must be rebuilt "
+                "(in-flight streams of that shard are lost)")
+        return state
 
-    def ingest(self, shard: int, event: IngestEvent) -> bool:
-        # The trailing timestamp is the queue-wait mark: perf_counter is
-        # CLOCK_MONOTONIC on Linux, comparable across this process and the
-        # worker, which subtracts it at receipt.
+    def _put(self, shard: int, command: tuple) -> bool:
+        # The command's trailing timestamp is its queue-wait mark:
+        # perf_counter is CLOCK_MONOTONIC on Linux, comparable across this
+        # process and the worker, which subtracts it at receipt.
         try:
-            self._shards[shard].commands.put_nowait(
-                ("ingest", event, obs_timestamp()))
+            self._live(shard).commands.put_nowait(command)
         except queue_module.Full:
             return False
         return True
 
-    def ingest_batch(self, shard: int, events: Sequence[IngestEvent]) -> bool:
+    def _post(self, shard: int, command: tuple) -> None:
+        while True:
+            try:
+                self._live(shard).commands.put(command,
+                                               timeout=_LIVENESS_POLL_S)
+                return
+            except queue_module.Full:
+                continue
+
+    def _receive(self, shard: int) -> tuple:
+        deadline = time.monotonic() + self._request_timeout_s
+        results = self._shards[shard].results
+        while True:
+            try:
+                return results.get(timeout=_LIVENESS_POLL_S)
+            except queue_module.Empty:
+                pass
+            try:
+                self._live(shard)
+            except ServiceError as died:
+                try:  # a reply written just before the worker died
+                    return results.get_nowait()
+                except queue_module.Empty:
+                    raise died from None
+            if time.monotonic() > deadline:
+                raise ServiceError(
+                    f"shard {shard} did not answer within "
+                    f"{self._request_timeout_s:.0f}s")
+
+    def _take_bus(self, shard: int,
+                  max_items: Optional[int]) -> List[ResultEnvelope]:
+        bus = self._live(shard).bus
+        envelopes: List[ResultEnvelope] = []
+        while max_items is None or len(envelopes) < max_items:
+            try:
+                envelopes.extend(bus.get_nowait())
+            except queue_module.Empty:
+                break
+        return envelopes
+
+    def _depth(self, shard: int) -> int:
         try:
-            self._shards[shard].commands.put_nowait(
-                ("ingest_batch", list(events), obs_timestamp()))
-        except queue_module.Full:
-            return False
-        return True
+            return self._shards[shard].commands.qsize()
+        except NotImplementedError:  # pragma: no cover - macOS
+            return 0
 
     def pump(self) -> int:
         return 0  # workers drain and tick themselves
-
-    def drain(self) -> None:
-        for shard in self._shards:
-            self._request(shard, ("sync",), "synced")
-
-    def finalize(self, shard: int,
-                 vehicle_ids: Sequence[Hashable]) -> List[DetectionResult]:
-        return self._request(self._shards[shard],
-                             ("finalize", list(vehicle_ids)), "finalized")
-
-    # ------------------------------------------------------------ results bus
-    def finalize_async(self, shard: int,
-                       vehicle_ids: Sequence[Hashable]) -> bool:
-        try:
-            self._shards[shard].commands.put_nowait(
-                ("finalize_async", list(vehicle_ids)))
-        except queue_module.Full:
-            return False
-        return True
-
-    def take_results(self,
-                     max_items: Optional[int] = None) -> List[ResultEnvelope]:
-        envelopes: List[ResultEnvelope] = []
-        for shard in self._shards:
-            self._send_ack(shard)  # retry an ack an earlier full queue refused
-            while max_items is None or len(envelopes) < max_items:
-                try:
-                    envelopes.extend(shard.bus.get_nowait())
-                except queue_module.Empty:
-                    break
-        return envelopes
-
-    def ack_results(self, shard: int, up_to_seq: int) -> None:
-        state = self._shards[shard]
-        if up_to_seq > state.pending_ack:
-            state.pending_ack = up_to_seq
-        self._send_ack(state)
-
-    def _send_ack(self, state: "_ProcessShard") -> None:
-        if state.pending_ack <= state.sent_ack:
-            return
-        try:
-            state.commands.put_nowait(("bus_ack", state.pending_ack))
-        except queue_module.Full:
-            return  # retried on the next take_results
-        state.sent_ack = state.pending_ack
-
-    def replay_results(self) -> int:
-        return sum(self._request(shard, ("bus_replay",), "bus_replayed")
-                   for shard in self._shards)
-
-    def bus_stats(self) -> List[BusStats]:
-        return [self._request(shard, ("bus_stats",), "bus_stats")
-                for shard in self._shards]
-
-    def swap(self, update: ControlUpdate) -> None:
-        # Broadcast first so shards swap concurrently, then await each ack.
-        # Per-shard FIFO still guarantees every already-eligible point is
-        # labeled by the old weights/history (the worker quiesces before
-        # loading). Every shard's reply is consumed before any error is
-        # raised — an unread reply would answer that shard's *next* request
-        # and desync the whole protocol. The update is pickled ONCE here
-        # and shipped as bytes: mp.Queue would otherwise re-pickle the
-        # whole payload per shard, which is exactly the O(shards × corpus)
-        # cost that made full-snapshot history refreshes collapse at four
-        # process shards (benchmarks/results/history_refresh.txt).
-        blob = pickle.dumps(update, protocol=pickle.HIGHEST_PROTOCOL)
-        for shard in self._shards:
-            shard.commands.put(("swap", blob))
-        first_error: Optional[BaseException] = None
-        for shard in self._shards:
-            try:
-                kind, payload = shard.results.get(
-                    timeout=self._request_timeout_s)
-            except queue_module.Empty:
-                first_error = first_error or ServiceError(
-                    f"shard {shard.shard_id} did not acknowledge a weight "
-                    f"swap within {self._request_timeout_s:.0f}s")
-                continue
-            if kind == "error":
-                first_error = first_error or payload
-            elif kind != "swapped":  # pragma: no cover - protocol bug guard
-                first_error = first_error or ServiceError(
-                    f"shard {shard.shard_id} answered {kind!r} to a swap")
-        if first_error is not None:
-            raise first_error
-
-    def stats(self) -> List[ShardStats]:
-        return [self._request(shard, ("stats",), "stats")
-                for shard in self._shards]
-
-    # -------------------------------------------------------- observability
-    def obs_snapshot(self) -> List[tuple]:
-        return [self._request(shard, ("obs",), "obs")
-                for shard in self._shards]
-
-    # ----------------------------------------------------------- work planes
-    def install_plane(self, factory) -> None:
-        # Replied per shard, so the caller knows every worker built its
-        # plane (and a factory that cannot be rebuilt worker-side fails
-        # loudly here, not at the first routed command).
-        for shard in self._shards:
-            self._request(shard, ("install_plane", factory), "plane_installed")
-
-    def plane_send(self, shard: int, command) -> bool:
-        try:
-            self._shards[shard].commands.put_nowait(("plane", command))
-        except queue_module.Full:
-            return False
-        return True
-
-    def plane_send_batch(self, shard: int, commands: Sequence) -> bool:
-        try:
-            self._shards[shard].commands.put_nowait(
-                ("plane_batch", list(commands)))
-        except queue_module.Full:
-            return False
-        return True
-
-    def plane_request(self, shard: int, command):
-        return self._request(self._shards[shard],
-                             ("plane_request", command), "plane_reply")
-
-    def plane_stats(self) -> List:
-        return [self._request(shard, ("plane_stats",), "plane_stats")
-                for shard in self._shards]
 
     def close(self) -> None:
         if self._closed:

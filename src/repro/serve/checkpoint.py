@@ -17,10 +17,10 @@ The same serialization feeds three consumers:
 
 * :func:`save_model` / :func:`load_model` — durable checkpoints on disk
   (:meth:`RL4OASDModel.save` / :meth:`RL4OASDModel.load` delegate here);
-* :func:`model_to_bytes` / :func:`model_from_bytes` — the blob a
-  multi-process detection service ships to worker shards at spawn;
-* :func:`clone_model` — a deep, independent copy backing the in-process
-  service backend, so serving never aliases the caller's live model;
+* :func:`model_to_bytes` / :func:`model_from_bytes` — the blob every
+  detection-service shard rebuilds its own engine from (in a worker process
+  or in the caller's), so serving never aliases the caller's live model;
+* :func:`clone_model` — a deep, independent copy of a model;
 * :func:`weights_snapshot` — the small ``state_dict``-only payload a model
   hot-swap broadcasts to already-running shards.
 """

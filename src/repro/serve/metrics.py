@@ -35,7 +35,7 @@ class ShardStats:
     history_version: int = 0
     history_refreshes: int = 0
     #: Reservoir sample of shard queue-wait seconds (facade enqueue →
-    #: worker dequeue, one sample per delivered ingest command) — the
+    #: worker dequeue, one sample per delivered queued command) — the
     #: number that explains the 1-shard service-vs-engine overhead gap.
     queue_wait_samples: List[float] = field(default_factory=list)
 

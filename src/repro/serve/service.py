@@ -72,7 +72,7 @@ from ..obs.trace import (STAGES, STAGE_LATENCY_METRIC, Span, Tracer,
 from ..trajectory.models import MatchedTrajectory
 from .backends import (ControlUpdate, IngestEvent, InProcessBackend,
                        ProcessBackend, ServiceBackend)
-from .checkpoint import (WeightsSnapshot, clone_model, model_to_bytes,
+from .checkpoint import (WeightsSnapshot, model_to_bytes,
                          weights_snapshot)
 from .metrics import BusStats, ServiceMetrics, metrics_to_registry
 from .resultbus import BusCollector, ResultEnvelope
@@ -165,8 +165,8 @@ class DetectionService:
         self._metrics_servers: List[MetricsServer] = []
         if backend == "inprocess":
             self._backend: ServiceBackend = InProcessBackend(
-                clone_model(model), num_shards, queue_depth, engine_overrides,
-                obs_options=obs_options)
+                model_to_bytes(model), num_shards, queue_depth,
+                engine_overrides, obs_options=obs_options)
         elif backend == "process":
             self._backend = ProcessBackend(
                 model_to_bytes(model), num_shards, queue_depth,
@@ -255,7 +255,7 @@ class DetectionService:
             IngestEvent(vehicle_id, segment, destination, start_time_s,
                         trajectory_id, trace), ())
         shard = self.shard_for(vehicle_id)
-        if not self._backend.ingest(shard, event):
+        if not self._backend.ingest_batch(shard, (event,)):
             self._rejected += 1
             return IngestStatus.RETRY_LATER
         self._accepted += 1

@@ -10,6 +10,10 @@ tests replay randomized fleets through both paths and compare exactly.
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -19,6 +23,7 @@ from repro.exceptions import (ConfigurationError, LabelingError, ModelError,
 from repro.serve import (DetectionService, IngestStatus, clone_model,
                          serve_fleet, serve_fleet_async, shard_of,
                          weights_snapshot)
+from repro.serve.backends import IngestEvent
 from repro.trajectory.ops import interleave_streams
 
 
@@ -577,3 +582,124 @@ def test_sync_serve_fleet_is_the_async_driver(trained_model, dataset_split):
                                                       concurrency=4))
     for before, after in zip(sync_results, async_results):
         assert_results_match(before, after)
+
+
+# ------------------------------------------------ one shard core, two transports
+def test_inprocess_queue_bound_counts_batched_commands(trained_model,
+                                                       dataset_split):
+    """The in-process queue bound counts commands, as the process backend's
+    does: at depth 4 exactly four 3-point batches are admitted before the
+    fifth waits for a pump, and the reported depth never exceeds the bound."""
+    _, _, test = dataset_split
+    fleet = test[:8]
+    events = [IngestEvent(index, segment,
+                          trajectory.destination if position == 0 else None,
+                          trajectory.start_time_s if position == 0 else 0.0,
+                          trajectory.trajectory_id if position == 0 else None)
+              for index, trajectory in enumerate(fleet)
+              for position, segment in enumerate(trajectory.segments)]
+    batches = [events[start:start + 3] for start in range(0, len(events), 3)]
+    assert len(batches) > 12
+    detector = trained_model.detector()
+    with trained_model.detection_service(
+            num_shards=1, backend="inprocess", queue_depth=4) as service:
+        assert [service.ingest_many(batch) for batch in batches[:4]] == [0] * 4
+        # Depth is read when asked for; the stats request then runs the
+        # queue in FIFO order, which frees all four slots.
+        assert service.metrics().shards[0].queue_depth == 4
+        assert [service.ingest_many(batch) for batch in batches[4:8]] == [0] * 4
+        assert service.ingest_many(batches[8]) == 1
+        depths = []
+        for batch in batches[9:]:
+            service.ingest_many(batch)
+            depths.append(service.metrics().shards[0].queue_depth)
+        assert 0 < max(depths) <= 4
+        results = service.finalize_many(list(range(len(fleet))))
+    for trajectory, result in zip(fleet, results):
+        assert_results_match(detector.detect(trajectory), result)
+
+
+class _FailingPlane:
+    """A work plane whose fire-and-forget ``"boom"`` command raises."""
+
+    def __init__(self, shard_id, engine):
+        self.shard_id = shard_id
+
+    def handle(self, command):
+        if command == "boom":
+            raise ValueError(f"boom on shard {self.shard_id}")
+
+    def request(self, command):
+        return command
+
+    def stats(self):
+        return None
+
+
+class FailingPlaneFactory:
+    """Picklable factory shipping :class:`_FailingPlane` into shard workers."""
+
+    def __call__(self, shard_id, engine):
+        return _FailingPlane(shard_id, engine)
+
+
+@pytest.mark.parametrize("backend", ["inprocess", "process"])
+def test_failed_plane_command_surfaces_at_next_replied_call(
+        trained_model, dataset_split, backend):
+    """A fire-and-forget plane command that raises is stashed by the shard
+    core and raised, exactly once, at the shard's next replied call; the
+    shard then keeps serving label-identically."""
+    _, _, test = dataset_split
+    trajectory = max(test, key=len)
+    half = len(trajectory) // 2
+    with trained_model.detection_service(num_shards=1,
+                                         backend=backend) as service:
+        service.install_plane(FailingPlaneFactory())
+        service.ingest_blocking("cab", trajectory.segments[0],
+                                destination=trajectory.destination,
+                                start_time_s=trajectory.start_time_s)
+        for segment in trajectory.segments[1:half]:
+            service.ingest_blocking("cab", segment)
+        service.plane_send_many(0, ["fine", "boom"])
+        with pytest.raises(ValueError, match="boom on shard 0"):
+            service.drain()
+        assert service.plane_request(0, "ping") == "ping"
+        for segment in trajectory.segments[half:]:
+            service.ingest_blocking("cab", segment)
+        result = service.finalize("cab")
+    assert_results_match(trained_model.detector().detect(trajectory), result)
+
+
+def test_dead_process_worker_fails_fast(trained_model, dataset_split):
+    """A SIGKILLed shard worker is reported by name within seconds — on
+    fire-and-forget sends, replied requests, swap acks and result polls —
+    instead of queueing into the void or waiting out the reply timeout."""
+    _, _, test = dataset_split
+    trajectory = max(test, key=len)
+    with trained_model.detection_service(num_shards=2,
+                                         backend="process") as service:
+        service.ingest_blocking("cab", trajectory.segments[0],
+                                destination=trajectory.destination,
+                                start_time_s=trajectory.start_time_s)
+        service.drain()
+        victim = service.shard_for("cab")
+        worker = service._backend._shards[victim].process
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(timeout=5.0)
+        assert not worker.is_alive()
+        calls = {
+            "ingest": lambda: service.ingest("cab", trajectory.segments[1]),
+            "finalize_async": lambda: service.finalize_async(["cab"]),
+            "drain": service.drain,
+            "finalize": lambda: service.finalize("cab"),
+            "metrics": service.metrics,
+            "swap": lambda: service.swap_model(
+                perturbed_snapshot(trained_model)),
+            "poll_results": service.poll_results,
+        }
+        for name, call in calls.items():
+            started = time.perf_counter()
+            with pytest.raises(ServiceError,
+                               match=f"shard {victim} worker died"):
+                call()
+            assert time.perf_counter() - started < 2.0, name

@@ -51,7 +51,8 @@ PUBLIC_SURFACE = {
         "clone_snapshot", "delta_to_bytes", "delta_from_bytes", "clone_delta",
         "HistoryArchive", "RollForwardDriver", "RollForwardStats",
     ],
-    "repro.serve.backends": ["InProcessBackend", "ProcessBackend", "IngestEvent"],
+    "repro.serve.backends": ["InProcessBackend", "ProcessBackend", "IngestEvent",
+                             "ShardCore", "ControlUpdate"],
     "repro.serve.metrics": ["GatewayStats", "ServiceMetrics", "ShardStats"],
     "repro.ingest": ["GpsGateway", "SessionResult", "serve_raw_fleet"],
     "repro.mapmatching": [
