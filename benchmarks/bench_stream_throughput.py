@@ -7,6 +7,11 @@ The engine's batched tick amortizes the LSTM and policy matmuls across the
 fleet and reuses per-segment features through the LRU cache, so it should
 clear the per-trajectory loop by >= 3x.
 
+Both paths are warmed with one untimed run, then timed over ``REPEATS``
+alternating runs (so a swing in host speed hits both alike). Each path
+reports the median with min/max; the speedup floor is judged on the ratio
+of the medians and every timed run's labels are checked.
+
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_stream_throughput.py
@@ -17,6 +22,7 @@ or through pytest::
 """
 
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -35,6 +41,8 @@ WORKLOAD_TRIPS = 256
 #: Required points/sec advantage of the fleet engine; override to loosen on
 #: noisy shared runners, e.g. REPRO_BENCH_MIN_SPEEDUP=2.
 MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
+#: Timed runs per path, after one warm-up run each.
+REPEATS = 7
 
 
 @pytest.fixture(scope="module")
@@ -52,27 +60,39 @@ def run_bench():
     total_points = sum(len(trajectory) for trajectory in workload)
 
     detector = model.detector()
-    single, single_results = measure_throughput(
-        lambda: [detector.detect(trajectory) for trajectory in workload],
-        total_points, name="OnlineDetector (one stream at a time)",
-        num_trajectories=len(workload))
-
     engine = model.stream_engine()
-    fleet, fleet_results = measure_throughput(
-        lambda: replay_fleet(engine, workload, concurrency=CONCURRENCY),
-        total_points, name=f"StreamEngine ({CONCURRENCY} concurrent streams)",
-        num_trajectories=len(workload))
-
-    mismatches = sum(
-        1 for reference, result in zip(single_results, fleet_results)
-        if reference.labels != result.labels)
+    paths = {
+        "single": (lambda: [detector.detect(trajectory)
+                            for trajectory in workload],
+                   "OnlineDetector (one stream at a time)"),
+        "fleet": (lambda: replay_fleet(engine, workload,
+                                       concurrency=CONCURRENCY),
+                  f"StreamEngine ({CONCURRENCY} concurrent streams)"),
+    }
+    runs = {path: [] for path in paths}
+    labels = {path: [] for path in paths}
+    for repeat in range(REPEATS + 1):
+        for path, (run, name) in paths.items():
+            report, results = measure_throughput(
+                run, total_points, name=name,
+                num_trajectories=len(workload))
+            if repeat:  # the first round only warms both paths
+                runs[path].append(report)
+                labels[path].append([result.labels for result in results])
+    single, fleet = (median_report(runs[path]) for path in paths)
+    mismatches = max(
+        sum(1 for reference, result in zip(labels["single"][0], run)
+            if reference != result)
+        for run in labels["single"] + labels["fleet"])
     speedup = fleet.speedup_over(single)
     text = "\n".join([
-        "Fleet streaming throughput",
+        f"Fleet streaming throughput (warm; median [min-max] of {REPEATS} "
+        "alternating runs)",
         f"  workload: {len(workload)} trips, {total_points} points",
-        f"  {single.format()}",
-        f"  {fleet.format()}",
-        f"  speedup: {speedup:.2f}x   label mismatches: {mismatches}",
+        f"  {format_runs(single, runs['single'])}",
+        f"  {format_runs(fleet, runs['fleet'])}",
+        f"  speedup of the medians: {speedup:.2f}x   "
+        f"label mismatches: {mismatches}",
         f"  segment cache: {engine.cache.hits} hits / "
         f"{engine.cache.misses} misses ({engine.cache.hit_rate:.1%})",
     ])
@@ -82,9 +102,23 @@ def run_bench():
         "mismatches": mismatches,
         "single": single,
         "fleet": fleet,
+        "single_runs": [report.points_per_second for report in runs["single"]],
+        "fleet_runs": [report.points_per_second for report in runs["fleet"]],
         "model": model,
         "workload": workload,
     }
+
+
+def median_report(reports):
+    """The run with the median rate (REPEATS is odd, so it is one run)."""
+    rates = [report.points_per_second for report in reports]
+    return reports[rates.index(statistics.median_low(rates))]
+
+
+def format_runs(median, reports):
+    rates = [report.points_per_second for report in reports]
+    return (f"{median.name}: median {median.points_per_second:,.0f} "
+            f"points/sec [{min(rates):,.0f}-{max(rates):,.0f}]")
 
 
 def test_stream_engine_matches_single_stream_labels(throughput):

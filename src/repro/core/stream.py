@@ -11,12 +11,20 @@ RL4OASD model:
   stream and pushes them through a *single* vectorized RSRNet + ASDNet
   forward pass (:meth:`RSRNet.step_batch` / :meth:`ASDNet.policy_logits_batch`),
   so the two LSTM matmuls and the policy matmul run once per tick instead of
-  once per vehicle.
+  once per vehicle. The Python side is one pass over the streams: it
+  resolves each eligible stream's segment record, normal-route feature and
+  forced/RNEL label into parallel lists, and one ``zip`` writes the labels
+  back after the batched pass.
 * **Per-stream state.** Each stream keeps exactly what Algorithm 1 needs
   incrementally: the LSTM hidden/cell state, the labels emitted so far (for
   RNEL and the policy's previous-label input), and the SD pair's normal-route
   transition set. Delayed labeling runs at :meth:`finalize`, identical to the
   single-stream detector.
+* **Memoised stream open.** Every trip of one SD pair and time slot opens
+  alike against one history snapshot: deferred, or online against the same
+  normal-transition set. The engine memoises that per snapshot object, so
+  streams share one read-only set and only the first open of a key consults
+  the pipeline.
 * **Segment feature cache.** The per-road-segment quantities — vocabulary
   token, the LSTM input projection ``x_e @ W_in``, and the in/out degrees
   used by RNEL — depend only on the model weights and the road network, so
@@ -45,8 +53,8 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
-                    Sequence, Set, Tuple, TYPE_CHECKING)
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Hashable, List,
+                    NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING)
 
 import numpy as np
 
@@ -58,6 +66,7 @@ from ..nn.losses import softmax
 from ..obs.trace import TraceContext, timestamp as obs_timestamp
 from ..trajectory.models import MatchedTrajectory
 from ..trajectory.ops import split_by_labels
+from ..trajectory.sdpairs import time_slot_of
 from .asdnet import ASDNet
 from .detector import DetectionResult, apply_delayed_labeling, rnel_from_degrees
 from .rsrnet import RSRNet
@@ -129,7 +138,7 @@ class _StreamState:
     segments: List[int] = field(default_factory=list)
     labels: List[int] = field(default_factory=list)
     processed: int = 0
-    normal_transitions: Optional[Set[Tuple[int, int]]] = None
+    normal_transitions: Optional[AbstractSet[Tuple[int, int]]] = None
     deferred: bool = False
     finalizing: bool = False
     previous_record: Optional[SegmentRecord] = None
@@ -183,6 +192,12 @@ class StreamEngine:
         self._seed = seed
         self._record_timing = record_timing
         self._cache = SegmentFeatureCache(cache_size)
+        # What opening a stream resolves to, per (source, destination, time
+        # slot) of the snapshot held alongside (see _resolve_open).
+        self._slots_per_day = pipeline.config.time_slots_per_day
+        self._open_memo_history: Optional[HistorySnapshot] = None
+        self._open_memo: Dict[Tuple[int, int, int],
+                              Optional[FrozenSet[Tuple[int, int]]]] = {}
         self._streams: "OrderedDict[Hashable, _StreamState]" = OrderedDict()
         self._next_trajectory_id = 0
         self._hidden_dim = rsrnet.config.hidden_dim
@@ -358,27 +373,55 @@ class StreamEngine:
         if destination is None:
             stream.deferred = True
         else:
-            group = self._pipeline.sd_group(first_segment, destination,
-                                            start_time_s,
-                                            history=stream.history)
-            if group:
-                # Resolving through the pipeline keeps the snapshot's
-                # normal-route cache in exactly the state a reference
-                # detection would leave it.
-                probe_segments = ([first_segment] if first_segment == destination
-                                  else [first_segment, destination])
-                probe = MatchedTrajectory(trajectory_id, probe_segments,
-                                          start_time_s=start_time_s)
-                routes = self._pipeline.normal_routes_for(
-                    probe, history=stream.history)
-                stream.normal_transitions = normal_transitions(routes)
-            else:
-                # No history for this SD pair: the reference falls back to
-                # treating the trajectory's own route as normal, which is only
-                # known at finalize — run deferred.
-                stream.deferred = True
+            stream.normal_transitions = self._resolve_open(
+                first_segment, destination, start_time_s, trajectory_id,
+                stream.history)
+            # No history for this SD pair: the reference falls back to
+            # treating the trajectory's own route as normal, which is only
+            # known at finalize — run deferred.
+            stream.deferred = stream.normal_transitions is None
         self._streams[vehicle_id] = stream
         return stream
+
+    def _resolve_open(
+        self,
+        source: int,
+        destination: int,
+        start_time_s: float,
+        trajectory_id: int,
+        history: HistorySnapshot,
+    ) -> Optional[FrozenSet[Tuple[int, int]]]:
+        """The normal transitions a stream opening on this SD pair runs
+        against, or ``None`` when the pair has no history (deferred).
+
+        Every trip of one ``(source, destination, time slot)`` resolves
+        alike against one snapshot, and snapshots are immutable, so the
+        answer is memoised per snapshot object and key, and streams share
+        one read-only set. A pipeline repinned to another snapshot, through
+        :meth:`load_history` or not, starts a fresh memo. Only a miss
+        consults the pipeline, which keeps the snapshot's normal-route cache
+        in exactly the state a reference detection would leave it.
+        """
+        if history is not self._open_memo_history:
+            self._open_memo_history = history
+            self._open_memo = {}
+        key = (source, destination,
+               time_slot_of(start_time_s, self._slots_per_day))
+        try:
+            return self._open_memo[key]
+        except KeyError:
+            pass
+        resolved = None
+        if self._pipeline.sd_group(source, destination, start_time_s,
+                                   history=history):
+            probe_segments = ([source] if source == destination
+                              else [source, destination])
+            probe = MatchedTrajectory(trajectory_id, probe_segments,
+                                      start_time_s=start_time_s)
+            routes = self._pipeline.normal_routes_for(probe, history=history)
+            resolved = frozenset(normal_transitions(routes))
+        self._open_memo[key] = resolved
+        return resolved
 
     def _validate_segment(self, segment: int) -> None:
         # Reject unknown segments at the door: surfacing this inside tick()
@@ -401,21 +444,6 @@ class StreamEngine:
 
 
     # ------------------------------------------------------------------ tick
-    def _eligible_index(self, stream: _StreamState) -> Optional[int]:
-        """Index of the next point this stream may label, or ``None``.
-
-        A point is eligible once a later point proves it is not the trip's
-        destination, or once the stream is finalizing (then the last point is
-        labeled *as* the destination).
-        """
-        if stream.finalizing:
-            return stream.processed if stream.processed < len(stream.segments) else None
-        if stream.deferred:
-            return None
-        if stream.processed < len(stream.segments) - 1:
-            return stream.processed
-        return None
-
     def _segment_record(self, segment_id: int) -> SegmentRecord:
         token = self._pipeline.vocabulary.token(segment_id)
         return SegmentRecord(
@@ -433,65 +461,88 @@ class StreamEngine:
         never depend on how the fleet's arrivals interleave.
         """
         started = time.perf_counter() if self._record_timing else 0.0
-        work: List[Tuple[_StreamState, int, SegmentRecord, int]] = []
+        cache_get = self._cache.get
+        compute_record = self._segment_record
+        use_rnel = self._use_rnel
+        # One pass over the fleet gathers, per eligible stream, its segment
+        # record, normal-route feature and forced/RNEL label (None leaves
+        # the label to the policy) into parallel lists.
+        streams: List[_StreamState] = []
+        records: List[SegmentRecord] = []
+        nrfs: List[int] = []
+        labels: List[Optional[int]] = []
+        undecided: List[int] = []
         for stream in self._streams.values():
-            index = self._eligible_index(stream)
-            if index is None:
+            # The next point is eligible once a later point proves it is not
+            # the trip's destination, or once the stream is finalizing (then
+            # the last point is labeled *as* the destination).
+            index = stream.processed
+            segments = stream.segments
+            last = len(segments) - 1
+            if stream.finalizing:
+                if index > last:
+                    continue
+            elif stream.deferred or index >= last:
                 continue
-            segment = stream.segments[index]
-            record = self._cache.get(segment, self._segment_record)
-            nrf = self._normal_route_feature(stream, index, segment)
-            work.append((stream, index, record, nrf))
-        if not work:
+            segment = segments[index]
+            record = cache_get(segment, compute_record)
+            if index == 0 or index == last:
+                # The source, and a finalizing stream's destination, are
+                # normal by definition.
+                nrf = label = 0
+            else:
+                nrf = (0 if (segments[index - 1], segment)
+                       in stream.normal_transitions else 1)
+                label = (rnel_from_degrees(stream.previous_record.out_degree,
+                                           record.in_degree, stream.labels[-1])
+                         if use_rnel else None)
+                if label is None:
+                    undecided.append(len(streams))
+            streams.append(stream)
+            records.append(record)
+            nrfs.append(nrf)
+            labels.append(label)
+        if not streams:
             return 0
 
-        slots = [stream.slot for stream, _, _, _ in work]
-        input_projections = np.stack([record.input_projection
-                                      for _, _, record, _ in work])
-        nrf_values = [nrf for _, _, _, nrf in work]
+        slots = [stream.slot for stream in streams]
         z, new_hidden, new_cell = self._rsrnet.step_batch(
             self._hidden_pool[slots], self._cell_pool[slots],
-            input_projections, nrf_values)
+            np.array([record.input_projection for record in records]), nrfs)
         self._hidden_pool[slots] = new_hidden
         self._cell_pool[slots] = new_cell
 
-        undecided: List[int] = []
-        labels: List[Optional[int]] = []
-        for row, (stream, index, record, _) in enumerate(work):
-            label = self._deterministic_label(stream, index, record)
-            labels.append(label)
-            if label is None:
-                undecided.append(row)
-
         if undecided:
             logits = self._asdnet.policy_logits_batch(
-                z[undecided],
-                [work[row][0].labels[-1] for row in undecided])
+                z[undecided], [streams[row].labels[-1] for row in undecided])
             # Row-wise softmax then argmax mirrors the scalar detector's
             # decision rule (argmax over probabilities, ties to label 0).
             probabilities = softmax(logits, axis=1)
             if self._greedy:
-                actions = np.argmax(probabilities, axis=1)
-                for position, row in enumerate(undecided):
-                    labels[row] = int(actions[position])
+                actions = np.argmax(probabilities, axis=1).tolist()
             else:
-                for position, row in enumerate(undecided):
-                    labels[row] = int(work[row][0].rng.choice(
-                        ASDNet.NUM_ACTIONS, p=probabilities[position]))
+                actions = [int(streams[row].rng.choice(ASDNet.NUM_ACTIONS,
+                                                       p=distribution))
+                           for row, distribution in zip(undecided,
+                                                        probabilities)]
+            for row, action in zip(undecided, actions):
+                labels[row] = action
 
-        share = ((time.perf_counter() - started) / len(work)
-                 if self._record_timing else 0.0)
-        for row, (stream, index, record, _) in enumerate(work):
-            stream.labels.append(labels[row])
+        record_timing = self._record_timing
+        share = ((time.perf_counter() - started) / len(streams)
+                 if record_timing else 0.0)
+        for stream, record, label in zip(streams, records, labels):
+            index = stream.processed
+            stream.labels.append(label)
             stream.processed = index + 1
             stream.previous_record = record
-            if self._record_timing:
+            if record_timing:
                 stream.per_point_seconds.append(share)
             if stream.traces:
                 self._observe_tick(stream, index)
-        self.points_processed += len(work)
+        self.points_processed += len(streams)
         self.ticks += 1
-        return len(work)
+        return len(streams)
 
     def _observe_tick(self, stream: _StreamState, index: int) -> None:
         """Close the ``engine_tick`` span of a just-labeled traced point."""
@@ -504,27 +555,6 @@ class StreamEngine:
             elif tracer is not None:
                 tracer.observe("engine_tick", trace, now)
         stream.traces = remaining or None
-
-    def _normal_route_feature(self, stream: _StreamState, index: int,
-                              segment: int) -> int:
-        if index == 0:
-            return 0
-        if stream.finalizing and index == len(stream.segments) - 1:
-            return 0  # The destination is normal by definition.
-        transition = (stream.segments[index - 1], segment)
-        return 0 if transition in stream.normal_transitions else 1
-
-    def _deterministic_label(self, stream: _StreamState, index: int,
-                             record: SegmentRecord) -> Optional[int]:
-        """The forced/RNEL label of a point, or ``None`` for the policy."""
-        if index == 0:
-            return 0
-        if stream.finalizing and index == len(stream.segments) - 1:
-            return 0
-        if self._use_rnel:
-            return rnel_from_degrees(stream.previous_record.out_degree,
-                                     record.in_degree, stream.labels[-1])
-        return None
 
     # -------------------------------------------------------------- finalize
     def finalize(self, vehicle_id: Hashable) -> DetectionResult:

@@ -8,6 +8,8 @@ propagate.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for every error raised by the repro library."""
@@ -107,6 +109,20 @@ class ArchiveError(ReproError):
 
 class ServiceError(ReproError):
     """Raised for invalid use of the sharded detection service."""
+
+
+class ShardDied(ServiceError):
+    """Raised when a shard's worker process is found dead.
+
+    ``shard`` is the index of the dead shard. Its in-flight streams are
+    lost; the service must be rebuilt.
+    """
+
+    def __init__(self, shard: int, exitcode: Optional[int] = None):
+        super().__init__(
+            f"shard {shard} worker died (exit code {exitcode}); the service "
+            "must be rebuilt (in-flight streams of that shard are lost)")
+        self.shard = shard
 
 
 class EvaluationError(ReproError):

@@ -10,14 +10,23 @@ from ..exceptions import ModelError
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    negative = ~positive
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[negative])
-    out[negative] = exp_x / (1.0 + exp_x)
-    return out
+    """Numerically stable logistic sigmoid, computed in float64.
+
+    With ``e = exp(-|x|)`` the result is ``1 / (1 + e)`` where ``x >= 0`` and
+    ``e / (1 + e)`` elsewhere (NaN included), so ``exp`` never overflows.
+    The branch is taken without masks: ``e`` lies in ``[0, 1]``, so the
+    numerator is ``max(x >= 0, e)``, and ``minimum(x, -x)`` returns a NaN
+    input unchanged, giving NaN results the bits of ``exp(x)``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.negative(x, out=np.empty_like(x))
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    numerator = np.greater_equal(x, 0.0, out=np.empty_like(x))
+    np.maximum(numerator, e, out=numerator)
+    e += 1.0
+    numerator /= e
+    return numerator
 
 
 def tanh(x: np.ndarray) -> np.ndarray:

@@ -33,6 +33,21 @@ from .functional import sigmoid, tanh
 from .module import Module, Parameter, xavier_uniform
 
 
+def _gate_activations(gates: np.ndarray, h_dim: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The input, forget, cell-candidate and output activations of packed
+    ``[..., 4 * h_dim]`` gate pre-activations.
+
+    One sigmoid pass covers the whole packed block and the three sigmoid
+    gates are views into it. Its cell slice is computed and discarded, which
+    costs less than three separate calls; the activation is elementwise, so
+    every value is bit-identical to activating each gate on its own.
+    """
+    activated = sigmoid(gates)
+    return (activated[..., :h_dim], activated[..., h_dim:2 * h_dim],
+            tanh(gates[..., 2 * h_dim:3 * h_dim]), activated[..., 3 * h_dim:])
+
+
 class LSTMCell(Module):
     """A single LSTM cell (Hochreiter & Schmidhuber 1997).
 
@@ -69,10 +84,8 @@ class LSTMCell(Module):
         gates = (x @ self.weight_input.value
                  + h_prev @ self.weight_hidden.value
                  + self.bias.value)
-        input_gate = sigmoid(gates[:h_dim])
-        forget_gate = sigmoid(gates[h_dim:2 * h_dim])
-        cell_candidate = tanh(gates[2 * h_dim:3 * h_dim])
-        output_gate = sigmoid(gates[3 * h_dim:])
+        input_gate, forget_gate, cell_candidate, output_gate = (
+            _gate_activations(gates, h_dim))
         c = forget_gate * c_prev + input_gate * cell_candidate
         tanh_c = tanh(c)
         h = output_gate * tanh_c
@@ -113,13 +126,13 @@ class LSTMCell(Module):
                 f"got {input_projections.shape}")
         if h_prev.shape != c_prev.shape or h_prev.shape != (len(input_projections), h_dim):
             raise ModelError("hidden/cell states must have shape (B, hidden_dim)")
-        gates = (input_projections
-                 + h_prev @ self.weight_hidden.value
-                 + self.bias.value)
-        input_gate = sigmoid(gates[:, :h_dim])
-        forget_gate = sigmoid(gates[:, h_dim:2 * h_dim])
-        cell_candidate = tanh(gates[:, 2 * h_dim:3 * h_dim])
-        output_gate = sigmoid(gates[:, 3 * h_dim:])
+        # (h W_h + x W_in) + b in place: addition commutes exactly, so this
+        # is bit-identical to x W_in + h W_h + b without two temporaries.
+        gates = h_prev @ self.weight_hidden.value
+        gates += input_projections
+        gates += self.bias.value
+        input_gate, forget_gate, cell_candidate, output_gate = (
+            _gate_activations(gates, h_dim))
         c = forget_gate * c_prev + input_gate * cell_candidate
         h = output_gate * tanh(c)
         return h, c
@@ -143,10 +156,8 @@ class LSTMCell(Module):
         gates = (x @ self.weight_input.value
                  + h_prev @ self.weight_hidden.value
                  + self.bias.value)
-        input_gate = sigmoid(gates[:, :h_dim])
-        forget_gate = sigmoid(gates[:, h_dim:2 * h_dim])
-        cell_candidate = tanh(gates[:, 2 * h_dim:3 * h_dim])
-        output_gate = sigmoid(gates[:, 3 * h_dim:])
+        input_gate, forget_gate, cell_candidate, output_gate = (
+            _gate_activations(gates, h_dim))
         c = forget_gate * c_prev + input_gate * cell_candidate
         tanh_c = tanh(c)
         h = output_gate * tanh_c

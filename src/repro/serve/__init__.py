@@ -19,6 +19,7 @@ deployable detector:
 * :mod:`~repro.serve.sharding` — stable vehicle-to-shard assignment.
 """
 
+from ..exceptions import ShardDied
 from .backends import (ControlUpdate, IngestEvent, InProcessBackend,
                        ProcessBackend)
 from .checkpoint import (CHECKPOINT_VERSION, clone_model, load_model,
@@ -44,6 +45,7 @@ __all__ = [
     "IngestEvent",
     "InProcessBackend",
     "ProcessBackend",
+    "ShardDied",
     "GatewayStats",
     "ServiceMetrics",
     "ShardStats",

@@ -15,8 +15,9 @@ The two transports only *deliver* commands to it:
 * :class:`ProcessBackend` — one OS process per shard runs the same core in
   a loop over a bounded ``multiprocessing`` command queue, ticking
   continuously, so shard compute overlaps with the caller and with every
-  other shard. A dead worker is reported as a :class:`ServiceError` naming
-  the shard at the next send, reply wait or result poll.
+  other shard. A dead worker is reported as a
+  :class:`~repro.exceptions.ShardDied` naming the shard at the next send,
+  reply wait or result poll.
 
 Label equivalence holds for both: a stream's labels never depend on how
 ticks interleave with arrivals (each stream advances at most one point per
@@ -76,7 +77,7 @@ from collections import deque
 from typing import Hashable, List, NamedTuple, Optional, Sequence
 
 from ..core.detector import DetectionResult
-from ..exceptions import ServiceError
+from ..exceptions import ServiceError, ShardDied
 from ..history import HistoryDelta, HistorySnapshot, apply_delta
 from ..obs.registry import MetricsRegistry, Reservoir
 from ..obs.trace import TraceContext, Tracer, timestamp as obs_timestamp
@@ -687,10 +688,7 @@ class ProcessBackend(ServiceBackend):
             raise ServiceError("the detection service is closed")
         state = self._shards[shard]
         if not state.process.is_alive():
-            raise ServiceError(
-                f"shard {shard} worker died (exit code "
-                f"{state.process.exitcode}); the service must be rebuilt "
-                "(in-flight streams of that shard are lost)")
+            raise ShardDied(shard, state.process.exitcode)
         return state
 
     def _put(self, shard: int, command: tuple) -> bool:
@@ -722,7 +720,7 @@ class ProcessBackend(ServiceBackend):
                 pass
             try:
                 self._live(shard)
-            except ServiceError as died:
+            except ShardDied as died:
                 try:  # a reply written just before the worker died
                     return results.get_nowait()
                 except queue_module.Empty:

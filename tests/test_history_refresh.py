@@ -19,6 +19,7 @@ import pytest
 
 from repro.exceptions import LabelingError, ModelError, ServiceError
 from repro.history import HistorySnapshot
+from repro.core import replay_fleet
 from repro.serve import clone_model, serve_fleet, weights_snapshot
 from repro.trajectory import MatchedTrajectory
 
@@ -243,6 +244,69 @@ def test_engine_load_history_pins_in_flight_streams(trained_model, drift):
     assert_results_match(expected_new, result_new)
     with pytest.raises(ModelError):
         engine.load_history("not a snapshot")
+
+
+@pytest.mark.parametrize("repin", ["engine", "pipeline"])
+def test_stream_open_memo_follows_the_pinned_snapshot(trained_model,
+                                                       dataset_split, repin):
+    """An SD pair without history opens deferred; once a refreshed snapshot
+    gives it a group, later opens run online. Streams opened before the
+    refresh stay deferred, however the history was repinned, and every
+    stream labels like a fresh engine built on the snapshot it opened on."""
+    _, development, test = dataset_split
+    history = trained_model.pipeline.history
+
+    def without_pair(pair):
+        kept = [t for key, group in history.groups().items()
+                if (key.source, key.destination) != pair for t in group]
+        base = HistorySnapshot.build(kept, history.slots_per_day)
+        return base, base.extended(history.group(*pair),
+                                   version=base.version + 1)
+
+    def fresh_labels(snapshot, trajectory):
+        engine = trained_model.with_history(snapshot).stream_engine()
+        return replay_fleet(engine, [trajectory])[0].labels
+
+    # Guard: a trip whose labels the refresh visibly changes.
+    for trip in list(test) + list(development):
+        if not history.group(trip.source, trip.destination):
+            continue
+        base, refreshed = without_pair((trip.source, trip.destination))
+        expected_before = fresh_labels(base, trip)
+        expected_after = fresh_labels(refreshed, trip)
+        if expected_before != expected_after:
+            break
+    else:
+        pytest.fail("no trip's labels depend on its SD pair's history")
+
+    model = trained_model.with_history(base)
+    engine = model.stream_engine()
+
+    def open_trip(vehicle):
+        engine.ingest(vehicle, trip.segments[0], destination=trip.destination,
+                      start_time_s=trip.start_time_s)
+        for segment in trip.segments[1:]:
+            engine.ingest(vehicle, segment)
+        while engine.tick():
+            pass
+
+    for vehicle in ("before-0", "before-1"):
+        open_trip(vehicle)
+    if repin == "engine":
+        engine.load_history(refreshed)
+    else:
+        model.pipeline.load_history(refreshed)
+    assert engine.history_snapshot is refreshed
+    for vehicle in ("after-0", "after-1"):
+        open_trip(vehicle)
+    for vehicle in ("before-0", "before-1"):  # deferred: nothing labeled
+        assert engine.pending_points(vehicle) == len(trip.segments)
+    for vehicle in ("after-0", "after-1"):  # online: all but the last point
+        assert engine.pending_points(vehicle) == 1
+    for vehicle in ("before-0", "before-1"):
+        assert engine.finalize(vehicle).labels == expected_before
+    for vehicle in ("after-0", "after-1"):
+        assert engine.finalize(vehicle).labels == expected_after
 
 
 # ---------------------------------------------------------------- validation

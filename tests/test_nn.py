@@ -31,6 +31,80 @@ def test_sigmoid_and_tanh_ranges():
     assert sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
 
 
+def _masked_sigmoid(x):
+    """The boolean-mask sigmoid ``repro.nn.sigmoid`` must match bit for bit."""
+    out = np.empty_like(x, dtype=np.float64)
+    positive = x >= 0
+    negative = ~positive
+    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+    exp_x = np.exp(x[negative])
+    out[negative] = exp_x / (1.0 + exp_x)
+    return out
+
+
+def _assert_bit_identical(result, expected):
+    assert isinstance(result, np.ndarray)
+    assert result.shape == expected.shape and result.dtype == np.float64
+    assert np.array_equal(np.ascontiguousarray(result).view(np.int64),
+                          np.ascontiguousarray(expected).view(np.int64))
+
+
+def test_sigmoid_is_bit_identical_to_the_masked_form():
+    rng = np.random.default_rng(7)
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF8000000000123, 0xFFF8000000000456,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    special = np.concatenate([
+        [745.0, -745.0, 746.0, -746.0, 709.8, -709.8, 36.7, -36.7,
+         np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+         np.finfo(np.float64).max, -np.finfo(np.float64).max],
+        nans])
+    values = np.concatenate([rng.normal(0.0, 5.0, 4000),
+                             rng.normal(0.0, 400.0, 500), special])
+    rng.shuffle(values)
+    grid = values[:64 * 70].reshape(64, 70)
+    cases = [values, grid, grid.T, grid[:, 3:40], grid[::3, ::2],
+             values[::7], values[5:6]]
+    cases += [np.array(value) for value in special]  # 0-d
+    cases += [rng.normal(0.0, 3.0, n) for n in range(1, 40)]
+    for x in cases:
+        _assert_bit_identical(sigmoid(x), _masked_sigmoid(x))
+
+
+def test_lstm_cell_packed_activation_is_bit_identical_per_gate():
+    from repro.nn.recurrent import LSTMCell
+    rng = np.random.default_rng(3)
+    cell = LSTMCell(5, 7, rng)
+    h_dim = 7
+    projections = rng.normal(0.0, 4.0, (9, 4 * h_dim))
+    h_prev = rng.normal(size=(9, h_dim))
+    c_prev = rng.normal(size=(9, h_dim))
+    gates = projections + h_prev @ cell.weight_hidden.value + cell.bias.value
+    input_gate = _masked_sigmoid(gates[:, :h_dim])
+    forget_gate = _masked_sigmoid(gates[:, h_dim:2 * h_dim])
+    cell_candidate = np.tanh(gates[:, 2 * h_dim:3 * h_dim])
+    output_gate = _masked_sigmoid(gates[:, 3 * h_dim:])
+    c_expected = forget_gate * c_prev + input_gate * cell_candidate
+    h_expected = output_gate * np.tanh(c_expected)
+    h, c = cell.forward_batch(projections, h_prev, c_prev)
+    _assert_bit_identical(h, h_expected)
+    _assert_bit_identical(c, c_expected)
+    # The cached training step and the sequential step agree bit for bit.
+    x = rng.normal(size=(9, 5))
+    h_cached, c_cached, cache = cell.forward_batch_cached(x, h_prev, c_prev)
+    h_batch, c_batch = cell.forward_batch(cell.project_input(x), h_prev, c_prev)
+    _assert_bit_identical(h_cached, h_batch)
+    _assert_bit_identical(c_cached, c_batch)
+    _assert_bit_identical(cache["input_gate"], _masked_sigmoid(
+        x @ cell.weight_input.value + h_prev @ cell.weight_hidden.value
+        + cell.bias.value)[:, :h_dim])
+    _, _, cache = cell.forward(x[0], h_prev[0], c_prev[0])
+    gates = (x[0] @ cell.weight_input.value
+             + h_prev[0] @ cell.weight_hidden.value + cell.bias.value)
+    _assert_bit_identical(cache["output_gate"],
+                          _masked_sigmoid(gates[3 * h_dim:]))
+
+
 def test_softmax_sums_to_one():
     probs = softmax(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1000.0]]), axis=1)
     assert np.allclose(probs.sum(axis=1), 1.0)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.config import ServeConfig
 from repro.exceptions import (ConfigurationError, LabelingError, ModelError,
-                              ServiceError)
+                              ServiceError, ShardDied)
 from repro.serve import (DetectionService, IngestStatus, clone_model,
                          serve_fleet, serve_fleet_async, shard_of,
                          weights_snapshot)
@@ -699,7 +699,8 @@ def test_dead_process_worker_fails_fast(trained_model, dataset_split):
         }
         for name, call in calls.items():
             started = time.perf_counter()
-            with pytest.raises(ServiceError,
-                               match=f"shard {victim} worker died"):
+            with pytest.raises(ShardDied,
+                               match=f"shard {victim} worker died") as died:
                 call()
+            assert died.value.shard == victim
             assert time.perf_counter() - started < 2.0, name

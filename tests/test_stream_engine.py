@@ -11,9 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import StreamEngine, replay_fleet
+from repro.config import ASDNetConfig, LabelingConfig, RSRNetConfig
+from repro.core import OnlineDetector, StreamEngine, replay_fleet
+from repro.core.asdnet import ASDNet
+from repro.core.rsrnet import RSRNet
 from repro.core.stream import SegmentFeatureCache, SegmentRecord
 from repro.exceptions import ModelError
+from repro.labeling import PreprocessingPipeline
+from repro.roadnet import RoadNetwork
+from repro.trajectory import MatchedTrajectory
 from repro.trajectory.ops import interleave_streams
 
 
@@ -62,6 +68,98 @@ def test_matches_online_detector_on_randomized_fleets(trained_model,
             assert_results_match(detector.detect(trajectory), result)
         total_streams += len(fleet)
     assert total_streams >= 100
+
+
+@pytest.fixture(scope="module")
+def bypass_road():
+    """An untrained model over a one-way road with two-segment bypasses,
+    plus a fleet of its trips.
+
+    RNEL fixes a label only where a segment has in- or out-degree 1, and
+    the tiny grid city has no such segment, so there RNEL never fires. On
+    this road it decides most points. Equivalence holds for any weights, so
+    the model is left untrained; its policy flags a mix of points.
+    """
+    network = RoadNetwork()
+    length = 24
+    for node in range(length):
+        network.add_intersection(node, 100.0 * node, 0.0)
+    for node in range(length - 1):
+        network.add_segment(node, node, node + 1)  # the main road
+    bypass = {}
+    for start in range(1, length - 2, 3):
+        middle = 1000 + start
+        network.add_intersection(middle, 100.0 * start + 100.0, 80.0)
+        network.add_segment(100 + start, start, middle)
+        network.add_segment(200 + start, middle, start + 2)
+        bypass[start] = [100 + start, 200 + start]
+
+    def trip(trajectory_id, source, destination, detours=()):
+        segments, node = [], source
+        while node < destination:
+            if node in detours and node in bypass and node + 2 <= destination:
+                segments += bypass[node]
+                node += 2
+            else:
+                segments.append(node)
+                node += 1
+        return MatchedTrajectory(trajectory_id, segments,
+                                 start_time_s=3600.0 * 8)
+
+    pairs = [(0, 12), (3, 20), (6, 23)]
+    history = [trip(1000 * p + k, *pair)
+               for p, pair in enumerate(pairs) for k in range(5)]
+    history += [trip(9000 + p, *pair, detours={pair[0] + 1})
+                for p, pair in enumerate(pairs)]
+    pipeline = PreprocessingPipeline(network, history,
+                                     LabelingConfig(alpha=0.35, delta=0.25))
+    rsrnet = RSRNet(len(pipeline.vocabulary),
+                    RSRNetConfig(embedding_dim=8, hidden_dim=8, nrf_dim=4,
+                                 seed=1))
+    asdnet = ASDNet(rsrnet.representation_dim,
+                    ASDNetConfig(label_embedding_dim=4, seed=2))
+    rng = np.random.default_rng(5)
+    fleet = []
+    for index in range(30):
+        source, destination = (pairs + [(2, 17)])[index % 4]
+        detours = {int(node) for node in rng.integers(0, length, 4)}
+        fleet.append(trip(index, source, destination, detours))
+    return rsrnet, asdnet, pipeline, fleet
+
+
+@pytest.mark.fleet
+@pytest.mark.parametrize("use_rnel,use_delayed_labeling",
+                         [(False, True), (True, False), (False, False)])
+def test_ablated_engine_matches_ablated_online_detector(
+        trained_model, dataset_split, bypass_road, use_rnel,
+        use_delayed_labeling):
+    """Without RNEL and/or delayed labeling the engine stays label-identical
+    to an OnlineDetector built with the same flags, on the trained model's
+    city and on a road where RNEL decides most points."""
+    _, development, test = dataset_split
+    pool = list(test) + list(development)
+    networks = (trained_model.rsrnet, trained_model.asdnet,
+                trained_model.pipeline)
+    substrates = [(networks, pool), (bypass_road[:3], bypass_road[3])]
+    flags = dict(use_rnel=use_rnel, use_delayed_labeling=use_delayed_labeling,
+                 delay_window=trained_model.training_config
+                 .delayed_labeling_window)
+    for seed, (networks, trips) in enumerate(substrates):
+        detector = OnlineDetector(*networks, **flags)
+        expected = [detector.detect(trajectory) for trajectory in trips]
+        if trips is bypass_road[3]:
+            # Guard: the flags change labels here, so the check has teeth.
+            default = OnlineDetector(*networks,
+                                     delay_window=flags["delay_window"])
+            assert any(result.labels != default.detect(trajectory).labels
+                       for trajectory, result in zip(trips, expected))
+        rng = np.random.default_rng(100 + seed)
+        order = [int(rng.integers(len(trips))) for _ in range(30)]
+        engine = StreamEngine(*networks, **flags)
+        results = run_randomized_fleet(engine, [trips[i] for i in order], rng,
+                                       tick_every=int(rng.integers(1, 7)))
+        for i, result in zip(order, results):
+            assert_results_match(expected[i], result)
 
 
 @pytest.mark.fleet

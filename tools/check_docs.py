@@ -42,7 +42,7 @@ PUBLIC_SURFACE = {
         "DetectionService", "IngestStatus", "serve_fleet", "shard_of",
         "ServiceMetrics", "ShardStats", "save_model", "load_model",
         "clone_model", "weights_snapshot", "model_to_bytes",
-        "model_from_bytes",
+        "model_from_bytes", "ShardDied",
     ],
     "repro.serve.checkpoint": ["CHECKPOINT_VERSION", "save_model", "load_model"],
     "repro.history": [
